@@ -4,35 +4,26 @@ Measures, for each of the three simulation backends on three
 representative Table 2 kernels in one process:
 
 * **setup** — engine construction time, cold (first engine on the
-  structure: schedule levelization, and for codegen source emission +
-  compilation) and warm (second engine: schedule memo and generated-
-  module cache hits), and
+  structure, with the schedule and generated-module memos cleared and
+  the codegen disk cache pointed at an empty per-module directory:
+  schedule levelization, and for codegen source emission +
+  ``compile()``) and warm (second engine: memo hits), and
 * **steady-state throughput** — cycles/sec over the engine run loop
   only, measured on a warm engine.
 
-A fourth column benchmarks the codegen backend with steady-state
-fast-forward on the kernels — measured *interleaved* with the plain
-codegen runs, because FF on these kernels is a parity check (the
-II-seeded probe governor disables itself after a few write-counter
-checks) and separate measurement blocks let host drift bias the ratio —
-and a dedicated periodic streaming circuit records the fast-forward
-headline speedup (the kernels' phase changes limit how long any one
-period survives; the streaming circuit is the shape fast-forward exists
-for).  A fifth column measures the batched (lane-parallel) codegen
-backend at 8 lanes of distinct input sets, reporting per-dataset
-throughput against a lanes=1 batch.  A dedicated ``divergent_lanes``
-section runs ``gsumif`` — whose data-dependent branch diverges
-immediately, so pre-mask the batch fell back to scalar and gained
-nothing — at 64 lanes of divergent seeds through **both** mask-loop
-data planes (numpy lane columns and the pure-Python tuple fallback),
-reporting per-dataset throughput against the 64 scalar codegen runs it
-replaces and against the event backend's sequential per-lane path.  On
-fully divergent control every comb block keeps at least one armed lane
-nearly every cycle, so per-block Python dispatch dominates either
-plane and per-dataset cost lands at ~parity with scalar codegen; the
-asserted floors pin that parity (no regression back toward the
-fallback's per-lane engine setup cost) and the multiple over
-sequential event execution.
+A fourth column measures the batched (lane-parallel) codegen backend at
+8 lanes of distinct input sets, reporting per-dataset throughput
+against a lanes=1 batch.  A dedicated ``divergent_lanes`` section runs
+``gsumif`` — whose data-dependent branch diverges immediately, so
+pre-mask the batch fell back to scalar and gained nothing — at 64 lanes
+of divergent seeds through the mask loop, reporting per-dataset
+throughput against the 64 scalar codegen runs it replaces and against
+the event backend's sequential per-lane path.  On fully divergent
+control every comb block keeps at least one live lane nearly every
+cycle, so per-block Python dispatch dominates and per-dataset cost
+lands at ~parity with scalar codegen; the asserted floors pin that
+parity (no regression back toward the fallback's per-lane engine setup
+cost) and the multiple over sequential event execution.
 
 Results land in ``BENCH_sim.json`` at the repo root so the simulator's
 perf trajectory accumulates PR over PR.  The schema keeps the
@@ -44,7 +35,6 @@ non-gating step and uploads the artifact.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
@@ -53,14 +43,9 @@ import time
 
 import pytest
 
+import repro.sim.codegen as codegen
+import repro.sim.signal_graph as signal_graph
 from repro.analysis import critical_cfcs, insert_timing_buffers, place_buffers
-from repro.circuit import (
-    DataflowCircuit,
-    ElasticBuffer,
-    Entry,
-    FunctionalUnit,
-    Sink,
-)
 from repro.core import crush
 from repro.frontend import lower_kernel, simulate_kernel, simulate_kernel_batch
 from repro.frontend.kernels import build
@@ -74,9 +59,9 @@ ARTIFACT = os.path.join(REPO_ROOT, "BENCH_sim.json")
 #: suite's cycle-count heavyweight (gemm, ~82k cycles at paper scale).
 KERNELS = ("atax", "bicg", "gemm")
 SCALE = "paper"
-#: Backends measured standalone; codegen (with and without fast-forward)
-#: is measured by :func:`_measure_ff_pair` with interleaved repeats.
-BACKENDS_MEASURED = ("event", "compiled")
+#: Scalar backends, measured in this order: the event oracle last, so
+#: its large heap does not put GC pauses into the faster backends' runs.
+BACKENDS_MEASURED = ("codegen", "compiled", "event")
 
 #: Lane count for the batched-throughput column; seeds are distinct so
 #: every lane simulates a different input set (the interesting case).
@@ -121,8 +106,25 @@ def _time_setup(lowered, backend: str) -> float:
     return time.perf_counter() - t0
 
 
-def _measure(lowered, backend: str, fast_forward: bool = False,
-             repeats: int = 2):
+def _clear_memos() -> None:
+    """Forget every levelized schedule and generated module loaded so far
+    in this process, so the next engine build starts from scratch."""
+    signal_graph._SCHEDULE_CACHE.clear()
+    codegen._MODULE_CACHE.clear()
+
+
+@pytest.fixture(scope="module")
+def empty_codegen_cache(tmp_path_factory):
+    """Point the codegen disk cache at a fresh directory for this module,
+    so cold setup compiles instead of loading an earlier run's bytecode."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(codegen.CODEGEN_CACHE_ENV,
+                  str(tmp_path_factory.mktemp("codegen-cache")))
+        yield
+
+
+def _measure(lowered, backend: str, repeats: int = 2):
+    _clear_memos()
     setup_cold = _time_setup(lowered, backend)
     setup_warm = _time_setup(lowered, backend)
     # The run's own engine build now hits every per-structure cache, so
@@ -130,8 +132,7 @@ def _measure(lowered, backend: str, fast_forward: bool = False,
     # damps scheduler noise (cycle counts are identical by construction).
     wall = math.inf
     for _ in range(repeats):
-        run = simulate_kernel(lowered, max_cycles=4_000_000, backend=backend,
-                              fast_forward=fast_forward or None)
+        run = simulate_kernel(lowered, max_cycles=4_000_000, backend=backend)
         wall = min(wall, run.sim_wall_s)
     return {
         "cycles": run.cycles,
@@ -141,61 +142,6 @@ def _measure(lowered, backend: str, fast_forward: bool = False,
         "sim_wall_s": round(wall, 4),
         "cycles_per_sec": round(run.cycles / wall, 1),
     }
-
-
-def _measure_ff_pair(lowered, repeats: int = 16):
-    """``codegen`` and ``codegen_ff`` with interleaved repeats.
-
-    Fast-forward on the bench kernels is a *parity* measurement: their
-    streaming stores keep every state projection unique, so the probe
-    governor disables hashing after two integer counter checks and the
-    rest of the run is the plain generated loop.  Individual runs on a
-    shared host carry interference spikes of ±20%, and interference
-    only ever *adds* wall time — so, as for every other column in the
-    artifact, each column's wall is the best (minimum) of its repeats,
-    which converges on the true uncontended wall once at least one
-    draw per column lands in a clean window.  Runs alternate plain/ff
-    in ABBA order so neither column systematically occupies a
-    different part of the measurement window; ``ff_speedup_paired``
-    additionally records the median of per-pair ratios as a
-    drift-robust cross-check.  One untimed warm-up pair first, so the
-    generated module, schedule memo and the fast-forward II hint are
-    all cached before anything is timed.
-    """
-    setup_cold = _time_setup(lowered, "codegen")
-    setup_warm = _time_setup(lowered, "codegen")
-    walls = {False: math.inf, True: math.inf}
-    runs = {}
-    for ff in (False, True):
-        runs[ff] = simulate_kernel(lowered, max_cycles=4_000_000,
-                                   backend="codegen", fast_forward=ff)
-    gc.collect()  # start the timed pairs from a settled heap
-    pair_ratios = []
-    for i in range(repeats):
-        pair = {}
-        for ff in ((False, True) if i % 2 == 0 else (True, False)):
-            run = simulate_kernel(lowered, max_cycles=4_000_000,
-                                  backend="codegen", fast_forward=ff)
-            walls[ff] = min(walls[ff], run.sim_wall_s)
-            pair[ff] = run.sim_wall_s
-            runs[ff] = run
-        pair_ratios.append(pair[False] / pair[True])
-    pair_ratios.sort()
-    mid = len(pair_ratios) // 2
-    paired = (pair_ratios[mid] if len(pair_ratios) % 2
-              else (pair_ratios[mid - 1] + pair_ratios[mid]) / 2)
-    out = {}
-    for ff, label in ((False, "codegen"), (True, "codegen_ff")):
-        out[label] = {
-            "cycles": runs[ff].cycles,
-            "fires": runs[ff].fires,
-            "setup_cold_s": round(setup_cold, 4),
-            "setup_warm_s": round(setup_warm, 4),
-            "sim_wall_s": round(walls[ff], 4),
-            "cycles_per_sec": round(runs[ff].cycles / walls[ff], 1),
-        }
-    out["codegen_ff"]["ff_speedup_paired"] = round(paired, 2)
-    return out
 
 
 def _measure_lanes(lowered, repeats: int = 2):
@@ -236,25 +182,23 @@ def _measure_lanes(lowered, repeats: int = 2):
 
 
 def _measure_divergent(lowered, repeats: int = 2):
-    """Mask-lane throughput on control-divergent input sets, per plane.
+    """Mask-lane throughput on control-divergent input sets.
 
-    Runs the 64-lane divergent batch through **both** mask-loop data
-    planes — the numpy lane-column plane (lane-masked arming +
-    vectorized compute) and the pure-Python tuple fallback — against
-    two baselines: the same seeds one at a time on the scalar codegen
-    backend (the work the batch replaces), and the event backend's
-    sequential per-lane batch.  Gating correctness for each plane:
-    every lane must match its scalar run bit-for-bit with zero
-    scalar-fallback lanes and exactly one mask promotion per batch.
+    Runs the 64-lane divergent batch against two baselines: the same
+    seeds one at a time on the scalar codegen backend (the work the
+    batch replaces), and the event backend's sequential per-lane batch.
+    Gating correctness: every lane must match its scalar run
+    bit-for-bit with zero scalar-fallback lanes and exactly one mask
+    promotion per batch.
 
     Honest figures: on *fully* divergent control every comb block has
-    some armed lane nearly every cycle, so the mask loop's block count
+    some live lane nearly every cycle, so the mask loop's block count
     stays at full occupancy and the per-block Python dispatch dominates
-    both planes — per-dataset throughput lands at ~scalar parity
-    (~0.9–1.2x, host noise ±15%), not the vectorized multiple; the
-    structural win is vs the event backend's sequential per-lane path
-    (~3x) and vs the pre-mask scalar fallback this mode replaced
-    (per-lane engine setup, lost bit-identity-under-one-engine).
+    — per-dataset throughput lands at ~scalar parity (~0.9–1.2x, host
+    noise ±15%); the structural win is vs the event backend's
+    sequential per-lane path (~3x) and vs the pre-mask scalar fallback
+    this mode replaced (per-lane engine setup, lost
+    bit-identity-under-one-engine).
     """
     scalar_wall = 0.0
     scalar = {}
@@ -267,40 +211,30 @@ def _measure_divergent(lowered, repeats: int = 2):
         lowered, DIVERGENT_SEEDS, max_cycles=4_000_000, backend="event"
     )
     event_wall = event_runs[0].sim_wall_s
+    wall = math.inf
+    for _ in range(repeats):
+        runs = simulate_kernel_batch(
+            lowered, DIVERGENT_SEEDS, max_cycles=4_000_000, backend="codegen",
+        )
+        wall = min(wall, runs[0].sim_wall_s)
+    for seed, run in zip(DIVERGENT_SEEDS, runs):
+        assert run.fallback_lanes == 0, (seed, run.fallback_lanes)
+        assert run.mask_promotions == 1, (seed, run.mask_promotions)
+        assert (run.cycles, run.fires) == scalar[seed], seed
     cycles = [c for c, _ in scalar.values()]
-    out = {
+    return {
         "kernel": DIVERGENT_KERNEL,
         "lanes": DIVERGENT_LANES,
         "cycles_min": min(cycles),
         "cycles_max": max(cycles),
+        "divergence": runs[0].divergence,
+        "data_plane": runs[0].data_plane,
         "sim_wall_s_scalar_sum": round(scalar_wall, 4),
         "sim_wall_s_event_sequential": round(event_wall, 4),
+        "sim_wall_s_lanes64": round(wall, 4),
+        "speedup_per_dataset": round(scalar_wall / wall, 2),
+        "speedup_vs_event_sequential": round(event_wall / wall, 2),
     }
-    for plane in ("numpy", "tuple"):
-        wall = math.inf
-        for _ in range(repeats):
-            runs = simulate_kernel_batch(
-                lowered, DIVERGENT_SEEDS, max_cycles=4_000_000,
-                backend="codegen", data_plane=plane,
-            )
-            wall = min(wall, runs[0].sim_wall_s)
-        for seed, run in zip(DIVERGENT_SEEDS, runs):
-            assert run.data_plane == plane, (seed, run.data_plane)
-            assert run.fallback_lanes == 0, (seed, run.fallback_lanes)
-            assert run.mask_promotions == 1, (seed, run.mask_promotions)
-            assert (run.cycles, run.fires) == scalar[seed], seed
-        col = {
-            "sim_wall_s_lanes64": round(wall, 4),
-            "speedup_per_dataset": round(scalar_wall / wall, 2),
-            "speedup_vs_event_sequential": round(event_wall / wall, 2),
-        }
-        if plane == "numpy":
-            out["divergence"] = runs[0].divergence
-            out["data_plane"] = plane
-            out.update(col)  # top level = the active (numpy) plane
-        else:
-            out["tuple_plane"] = col
-    return out
 
 
 def _geomean(values):
@@ -308,64 +242,19 @@ def _geomean(values):
 
 
 @pytest.fixture(scope="module")
-def measurements():
+def measurements(empty_codegen_cache):
     out = {}
     for name in KERNELS:
         lowered = _prepare(name)
-        # The ff/plain parity pair is the noise-critical measurement
-        # (its gate is a ratio of two near-equal walls), so it runs
-        # first, before the event-backend measurement balloons the heap
-        # and GC pauses start landing on individual runs.
-        per = _measure_ff_pair(lowered)
-        for b in BACKENDS_MEASURED:
-            per[b] = _measure(lowered, b)
+        per = {b: _measure(lowered, b) for b in BACKENDS_MEASURED}
         per["codegen_lanes"] = _measure_lanes(lowered)
         out[name] = per
     return out
 
 
-def _streaming_circuit(n_tokens: int) -> DataflowCircuit:
-    """Entry -> buffered FU chain -> Sink: a long II-1 periodic steady
-    state, the shape fast-forward is built for."""
-    c = DataflowCircuit("stream")
-    prev = c.add(Entry("src", value=1.5, count=n_tokens))
-    for i in range(6):
-        buf = c.add(ElasticBuffer(f"b{i}", slots=2))
-        fu = c.add(FunctionalUnit(f"fu{i}", "fneg"))
-        c.connect(prev, 0, buf, 0)
-        c.connect(buf, 0, fu, 0)
-        prev = fu
-    sink = c.add(Sink("out"))
-    c.connect(prev, 0, sink, 0)
-    c.validate()
-    return c
-
-
 @pytest.fixture(scope="module")
-def divergent_measurement():
+def divergent_measurement(empty_codegen_cache):
     return _measure_divergent(_prepare(DIVERGENT_KERNEL))
-
-
-@pytest.fixture(scope="module")
-def stream_measurement():
-    n = 200_000
-    out = {}
-    for label, ff in (("codegen", False), ("codegen_ff", True)):
-        c = _streaming_circuit(n)
-        sink = c.units["out"]
-        eng = create_engine(c, backend="codegen", fast_forward=ff)
-        t0 = time.perf_counter()
-        cycles = eng.run(lambda: sink.count >= n, max_cycles=10 * n)
-        wall = time.perf_counter() - t0
-        out[label] = {
-            "cycles": cycles,
-            "fires": eng.total_fires,
-            "sink_tail": sink.received[-1],
-            "sim_wall_s": round(wall, 4),
-            "cycles_per_sec": round(cycles / wall, 1),
-            "ff_periods_applied": eng.ff_periods_applied,
-        }
-    return out
 
 
 def test_backends_agree_on_bench_kernels(measurements):
@@ -377,20 +266,6 @@ def test_backends_agree_on_bench_kernels(measurements):
         assert len(set(fires.values())) == 1, (name, fires)
 
 
-def test_fast_forward_never_slows_kernels(measurements):
-    """Regression guard: fast-forward finds no period on the kernels
-    (their stores keep every projection unique), so the II-seeded probe
-    governor must disable itself after a few integer counter checks and
-    the measured throughput must be *parity* with the plain loop.  The
-    ratio compares best-of-16 interleaved walls (see
-    ``_measure_ff_pair``); the floor leaves a small margin for the
-    residual jitter of the two minima on a shared host."""
-    for name, per in measurements.items():
-        ratio = (per["codegen_ff"]["cycles_per_sec"]
-                 / per["codegen"]["cycles_per_sec"])
-        assert ratio >= 0.97, (name, round(ratio, 3))
-
-
 def test_batched_lanes_speedup_per_dataset(measurements):
     """Lane-parallelism floor: 8 input sets per pass must finish each
     dataset at least 3x faster than running them one at a time."""
@@ -400,40 +275,23 @@ def test_batched_lanes_speedup_per_dataset(measurements):
 
 
 def test_divergent_mask_lanes_speedup_per_dataset(divergent_measurement):
-    """Divergent-control floors, per data plane.  On *fully* divergent
-    control every comb block has an armed lane nearly every cycle, so
-    block count stays at full occupancy and per-block Python dispatch
-    dominates — the numpy plane's lane-masked arming and vectorized
-    compute cannot shrink the block count, only the per-block work, and
-    at the mask loop's measured ~1.8 armed lanes per patch the sparse
-    bit-scan already near-optimal.  Honest per-dataset figures vs
-    scalar codegen: ~0.9–1.2x both planes (host noise ±15%), far short
-    of the 3x vectorization target; the structural win is vs the event
-    backend's sequential per-lane path (~3x) and vs the pre-mask
-    scalar fallback (per-lane engine setup, no bit-identity under one
-    engine).  The parity floors guard against regressing below the
-    fallback the mask loop replaced; the event-sequential floors pin
-    the multiple where lane batching genuinely pays."""
+    """Divergent-control floors.  On *fully* divergent control every
+    comb block has a live lane nearly every cycle, so block count stays
+    at full occupancy and per-block Python dispatch dominates.  Honest
+    per-dataset figures vs scalar codegen: ~0.9–1.2x (host noise
+    ±15%); the structural win is vs the event backend's sequential
+    per-lane path (~3x) and vs the pre-mask scalar fallback (per-lane
+    engine setup, no bit-identity under one engine).  The parity floor
+    guards against regressing below the fallback the mask loop
+    replaced; the event-sequential floor pins the multiple where lane
+    batching genuinely pays."""
     assert divergent_measurement["speedup_per_dataset"] >= 0.7, (
         divergent_measurement)
     assert divergent_measurement["speedup_vs_event_sequential"] >= 2.0, (
         divergent_measurement)
-    tup = divergent_measurement["tuple_plane"]
-    assert tup["speedup_per_dataset"] >= 0.7, divergent_measurement
-    assert tup["speedup_vs_event_sequential"] >= 2.0, divergent_measurement
 
 
-def test_fast_forward_exact_and_engaged_on_stream(stream_measurement):
-    plain, ff = (stream_measurement["codegen"],
-                 stream_measurement["codegen_ff"])
-    assert ff["cycles"] == plain["cycles"]
-    assert ff["fires"] == plain["fires"]
-    assert ff["sink_tail"] == plain["sink_tail"]
-    assert ff["ff_periods_applied"] > 0
-
-
-def test_write_bench_artifact(measurements, stream_measurement,
-                              divergent_measurement):
+def test_write_bench_artifact(measurements, divergent_measurement):
     kernels = {}
     sp_compiled, sp_codegen, sp_lanes = [], [], []
     for name, per in measurements.items():
@@ -441,8 +299,6 @@ def test_write_bench_artifact(measurements, stream_measurement,
                     / per["event"]["cycles_per_sec"], 2)
         spg = round(per["codegen"]["cycles_per_sec"]
                     / per["event"]["cycles_per_sec"], 2)
-        spf = round(per["codegen_ff"]["cycles_per_sec"]
-                    / per["codegen"]["cycles_per_sec"], 2)
         spl = per["codegen_lanes"]["speedup_per_dataset"]
         sp_compiled.append(spc)
         sp_codegen.append(spg)
@@ -452,22 +308,18 @@ def test_write_bench_artifact(measurements, stream_measurement,
             cycles=per["codegen"]["cycles"],
             speedup_compiled_vs_event=spc,
             speedup_codegen_vs_event=spg,
-            speedup_ff_vs_codegen=spf,
             speedup_lanes8_per_dataset=spl,
         )
     geo_compiled = _geomean(sp_compiled)
     geo_codegen = _geomean(sp_codegen)
     geo_lanes = _geomean(sp_lanes)
-    stream_speedup = round(
-        stream_measurement["codegen_ff"]["cycles_per_sec"]
-        / stream_measurement["codegen"]["cycles_per_sec"], 2,
-    )
     artifact = {
         "bench": "sim_backend_throughput",
         "scale": SCALE,
         "style": "bb",
         "technique": "crush",
-        "mode": "single process; setup = engine construction (cold then "
+        "mode": "single process; setup = engine construction (cold: "
+                "empty schedule/module memos and codegen disk cache; then "
                 "warm), cycles/sec measured over the engine run loop on a "
                 "warm engine",
         "python": platform.python_version(),
@@ -476,19 +328,7 @@ def test_write_bench_artifact(measurements, stream_measurement,
         "geomean_speedup_codegen_vs_event": geo_codegen,
         "geomean_speedup_lanes8_per_dataset": geo_lanes,
         "divergent_lanes": divergent_measurement,
-        "fast_forward_stream": {
-            "circuit": "Entry -> 6x(ElasticBuffer(2) -> fneg) -> Sink, "
-                       "200k tokens",
-            "codegen": stream_measurement["codegen"],
-            "codegen_ff": {k: v for k, v in
-                           stream_measurement["codegen_ff"].items()
-                           if k != "sink_tail"},
-            "speedup_ff_vs_codegen": stream_speedup,
-        },
     }
-    for per in artifact["fast_forward_stream"].values():
-        if isinstance(per, dict):
-            per.pop("sink_tail", None)
     with open(ARTIFACT, "w") as fh:
         json.dump(artifact, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -497,4 +337,3 @@ def test_write_bench_artifact(measurements, stream_measurement,
     assert geo_compiled >= 1.0
     assert geo_codegen >= 3.5, sp_codegen
     assert min(sp_lanes) >= 3.0, sp_lanes
-    assert stream_speedup >= 10.0, stream_measurement

@@ -40,9 +40,9 @@ class KernelRun:
     mask_promotions: int = 0
     divergence: Optional[str] = None
     #: Which data representation executed the run: ``"scalar"`` for the
-    #: one-lane backends, ``"tuple"`` or ``"numpy"`` for batched engines
-    #: (the mask loop's lane representation).  Provenance only — the
-    #: planes are bit-identical by construction.
+    #: one-lane backends (and the event backend's per-lane batches),
+    #: ``"tuple"`` for the generated-loop batched engines.  Provenance
+    #: only — both are bit-identical by construction.
     data_plane: str = "scalar"
 
 
@@ -81,7 +81,6 @@ def simulate_kernel(
     backend: Optional[str] = None,
     profile: Optional[SimProfile] = None,
     sanitize: object = None,
-    fast_forward: Optional[bool] = None,
 ) -> KernelRun:
     """Run ``lowered`` to completion; verify results against the reference.
 
@@ -96,9 +95,7 @@ def simulate_kernel(
     handshake-protocol sanitizer (None defers to the
     ``REPRO_SIM_SANITIZE`` environment variable; a pre-built
     :class:`~repro.sim.sanitize.HandshakeSanitizer` instance is adopted
-    as-is, e.g. one armed with SAN005 alias pairs), and ``fast_forward``
-    enables steady-state period skipping on the codegen backend (None
-    defers to ``REPRO_SIM_FF``).
+    as-is, e.g. one armed with SAN005 alias pairs).
     """
     kernel = lowered.kernel
     if inputs is None:
@@ -112,8 +109,7 @@ def simulate_kernel(
 
     engine = create_engine(
         lowered.circuit, backend=backend,
-        memory=memory, trace=trace, profile=profile,
-        sanitize=sanitize, fast_forward=fast_forward,
+        memory=memory, trace=trace, profile=profile, sanitize=sanitize,
     )
     end = lowered.circuit.unit(lowered.end_sink)
     expected_writes = reference.writes
@@ -151,7 +147,7 @@ def simulate_kernel(
         arrays=arrays,
         reference=reference,
         sim_wall_s=wall,
-        data_plane=getattr(engine, "data_plane", "scalar"),
+        data_plane=engine.data_plane,
     )
 
 
@@ -162,8 +158,6 @@ def simulate_kernel_batch(
     max_cycles: int = 2_000_000,
     backend: Optional[str] = None,
     sanitize: Optional[bool] = None,
-    fast_forward: Optional[bool] = None,
-    data_plane: Optional[str] = None,
 ) -> List[KernelRun]:
     """Run one input set per seed through a single batched engine.
 
@@ -176,15 +170,8 @@ def simulate_kernel_batch(
 
     ``sim_wall_s`` on every returned :class:`KernelRun` is the wall time
     of the *whole batch* (lanes do not run separately, so there is no
-    per-lane time to report).  Observers (trace/profile/sanitizer) and
-    fast-forward are scalar-only; requesting them here raises
-    :class:`SimulationError`.
-
-    ``data_plane`` pins the mask loop's lane representation (``"numpy"``
-    or ``"tuple"``); ``None`` auto-selects (numpy when installed, the
-    circuit is eligible and ``REPRO_SIM_NO_NUMPY`` is unset).  Either
-    plane is bit-identical; the choice is recorded on each returned
-    run's ``data_plane`` field.
+    per-lane time to report).  Observers (trace/profile/sanitizer) are
+    scalar-only; requesting them here raises :class:`SimulationError`.
     """
     kernel = lowered.kernel
     lanes = len(seeds)
@@ -205,7 +192,7 @@ def simulate_kernel_batch(
 
     engine = create_engine(
         lowered.circuit, backend=backend, lanes=lanes, memories=memories,
-        sanitize=sanitize, fast_forward=fast_forward, data_plane=data_plane,
+        sanitize=sanitize,
     )
     end_name = lowered.end_sink
 
@@ -264,6 +251,6 @@ def simulate_kernel_batch(
             fallback_lanes=fallback_lanes,
             mask_promotions=mask_promotions,
             divergence=div_site,
-            data_plane=getattr(engine, "data_plane", "scalar"),
+            data_plane=engine.data_plane,
         ))
     return runs

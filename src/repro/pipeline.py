@@ -24,6 +24,7 @@ from .core import crush
 from .errors import ReproError
 from .frontend import lower_kernel, simulate_kernel, simulate_kernel_batch
 from .frontend.kernels import build
+from .frontend.runner import KernelRun
 from .resources import ResourceEstimate, estimate_circuit
 from .sim import DEFAULT_BACKEND
 
@@ -70,10 +71,9 @@ class TechniqueResult:
     mask_promotions: int = 0
     divergence: str = ""
     #: Data representation the simulation executed with: ``"scalar"``
-    #: for one-lane runs, ``"tuple"`` or ``"numpy"`` for batched rows
-    #: (the mask loop's lane representation; see
-    #: :mod:`repro.sim.npplane`).  Provenance, not a metric — the planes
-    #: are bit-identical.
+    #: for one-lane runs, ``"tuple"`` for rows from a generated-loop
+    #: batch (see :mod:`repro.sim.batched`).  Provenance, not a metric —
+    #: both are bit-identical.
     data_plane: str = "scalar"
     #: Statically predicted steady-state II from the token-flow analyzer
     #: (:mod:`repro.analysis.tokenflow`), as an exact ``Fraction`` string
@@ -335,7 +335,6 @@ def run_technique(
     sim_backend: Optional[str] = None,
     lint: str = "warn",
     sanitize: bool = False,
-    fast_forward: Optional[bool] = None,
     seed: int = 7,
     **size_overrides: int,
 ) -> TechniqueResult:
@@ -355,10 +354,6 @@ def run_technique(
     ``sanitize`` turns on the runtime handshake-protocol sanitizer for
     the simulation (see :mod:`repro.sim.sanitize`); it cannot change the
     cycle count, only fail on latency-insensitive contract violations.
-
-    ``fast_forward`` enables steady-state period skipping (codegen
-    backend only; see :mod:`repro.sim.fastforward`).  Like the backend
-    choice, it cannot change any metric.
 
     ``seed`` selects the input data set (``cycles`` depends on it for
     data-dependent kernels); it is recorded in the result.
@@ -382,27 +377,22 @@ def run_technique(
     predicted_ii, flow_diags = _flow_columns(prep, report)
     mem_class, memdep_diags = _memdep_columns(prep, report)
 
-    cycles = 0
-    data_plane = "scalar"
+    run = None
     if simulate:
         run = simulate_kernel(
             prep.lowered,
             max_cycles=max_cycles,
             backend=sim_backend,
             sanitize=sanitize,
-            fast_forward=fast_forward,
             seed=seed,
         )
-        cycles = run.cycles
-        data_plane = run.data_plane
 
     est = estimate_circuit(circuit)
     return _result_row(
-        prep, est, cycles, seed,
+        prep, est, run, seed,
         sim_backend=sim_backend,
         lint_errors=lint_errors,
         lint_warnings=lint_warnings,
-        data_plane=data_plane,
         predicted_ii=predicted_ii,
         flow_diags=flow_diags,
         mem_class=mem_class,
@@ -413,21 +403,27 @@ def run_technique(
 def _result_row(
     prep: PreparedRun,
     est: ResourceEstimate,
-    cycles: int,
+    run: Optional[KernelRun],
     seed: int,
     sim_backend: Optional[str],
     lint_errors: int,
     lint_warnings: int,
-    fallback_lanes: int = 0,
-    mask_promotions: int = 0,
-    divergence: str = "",
-    data_plane: str = "scalar",
     predicted_ii: str = "",
     flow_diags: int = 0,
     mem_class: str = "",
     memdep_diags: int = 0,
 ) -> TechniqueResult:
-    """Assemble one table row from a prepared circuit and its cycle count."""
+    """Assemble one table row from a prepared circuit and its simulation
+    (``None`` when simulation was skipped: zero cycles, no provenance)."""
+    cycles = run.cycles if run is not None else 0
+    provenance: Dict[str, Any] = {}
+    if run is not None:
+        provenance = dict(
+            fallback_lanes=run.fallback_lanes,
+            mask_promotions=run.mask_promotions,
+            divergence=run.divergence or "",
+            data_plane=run.data_plane,
+        )
     return TechniqueResult(
         kernel=prep.kernel,
         technique=prep.technique,
@@ -447,14 +443,11 @@ def _result_row(
         lint_errors=lint_errors,
         lint_warnings=lint_warnings,
         seed=seed,
-        fallback_lanes=fallback_lanes,
-        mask_promotions=mask_promotions,
-        divergence=divergence,
-        data_plane=data_plane,
         predicted_ii=predicted_ii,
         flow_diags=flow_diags,
         mem_class=mem_class,
         memdep_diags=memdep_diags,
+        **provenance,
     )
 
 
@@ -479,8 +472,8 @@ def run_technique_batch(
     engines guarantee bit-identical to scalar runs.  ``opt_time_s`` is
     the shared preparation's wall clock, identical across the rows.
 
-    Observers (``sanitize``) and ``fast_forward`` are scalar-only and
-    deliberately not offered here.
+    Observers (``sanitize``) are scalar-only and deliberately not
+    offered here.
     """
     if lint not in LINT_MODES:
         raise ReproError(f"unknown lint mode {lint!r}; use {LINT_MODES}")
@@ -509,14 +502,10 @@ def run_technique_batch(
     est = estimate_circuit(prep.circuit)
     return [
         _result_row(
-            prep, est, run.cycles, seed,
+            prep, est, run, seed,
             sim_backend=sim_backend,
             lint_errors=lint_errors,
             lint_warnings=lint_warnings,
-            fallback_lanes=run.fallback_lanes,
-            mask_promotions=run.mask_promotions,
-            divergence=run.divergence or "",
-            data_plane=run.data_plane,
             predicted_ii=predicted_ii,
             flow_diags=flow_diags,
             mem_class=mem_class,

@@ -21,15 +21,13 @@ semantics:
     dispatch on the hot path), ``exec``'d and cached on disk under a
     content-addressed key.  Bit-identical to both other backends
     (differentially tested on all goldens and under hypothesis
-    lockstep).  Supports opt-in steady-state fast-forward
-    (``fast_forward=True`` / ``--fast-forward`` / ``REPRO_SIM_FF=1``):
-    once the full handshake/occupancy state vector is detected to
-    repeat with period P, whole periods are applied analytically
-    instead of simulated.  Fast-forward and :class:`SimProfile` are
-    rejected with clear errors when incompatible observers are attached.
+    lockstep).  Rejects :class:`SimProfile` with a clear error.
 
 Select a backend with :func:`create_engine`, the ``--sim-backend`` CLI
-flag, or the ``REPRO_SIM_BACKEND`` environment variable.
+flag, or the ``REPRO_SIM_BACKEND`` environment variable.  With
+``lanes=B`` the same call returns the batched engine of that backend
+(:mod:`repro.sim.batched`), which runs ``B`` input sets per pass over
+lane tuples.
 
 All backends accept ``sanitize=True`` (or ``REPRO_SIM_SANITIZE=1``) to
 run the opt-in handshake-protocol sanitizer
@@ -51,7 +49,7 @@ from .batched import (
     create_batched_engine,
     lanes_default,
 )
-from .codegen import FF_ENV, CodegenEngine, fast_forward_default
+from .codegen import CodegenEngine
 from .compiled import CompiledEngine
 from .engine import DEFAULT_DEADLOCK_WINDOW, BaseEngine, Engine
 from .memory import Memory
@@ -71,18 +69,14 @@ BACKENDS = {
 DEFAULT_BACKEND = os.environ.get("REPRO_SIM_BACKEND", "compiled")
 
 
-def create_engine(circuit, backend=None, fast_forward=None, lanes=None,
-                  memories=None, **kwargs):
+def create_engine(circuit, backend=None, lanes=None, memories=None,
+                  **kwargs):
     """Instantiate the requested simulation backend for ``circuit``.
 
     ``backend`` is ``"event"``, ``"compiled"``, ``"codegen"`` or ``None``
     (use :data:`DEFAULT_BACKEND`); remaining keyword arguments
     (``memory``, ``trace``, ``deadlock_window``, ``profile``,
     ``sanitize``) are forwarded to the engine constructor.
-
-    ``fast_forward`` is only meaningful for the codegen backend;
-    requesting it on any other backend is an error (``None`` — the
-    default — defers to the engine, which consults ``REPRO_SIM_FF``).
 
     ``lanes`` switches to the batched (lane-parallel) engine family
     (:mod:`repro.sim.batched`): the returned engine evaluates ``lanes``
@@ -100,8 +94,7 @@ def create_engine(circuit, backend=None, fast_forward=None, lanes=None,
             )
         kwargs.pop("memory", None)
         return create_batched_engine(
-            circuit, name, lanes, memories=memories,
-            fast_forward=fast_forward, **kwargs,
+            circuit, name, lanes, memories=memories, **kwargs
         )
     if memories is not None:
         raise SimulationError(
@@ -115,13 +108,6 @@ def create_engine(circuit, backend=None, fast_forward=None, lanes=None,
             f"unknown simulation backend {name!r}; "
             f"choose from {sorted(BACKENDS)}"
         ) from None
-    if name == "codegen":
-        kwargs["fast_forward"] = fast_forward
-    elif fast_forward:
-        raise SimulationError(
-            f"fast-forward requires the codegen backend "
-            f"(got backend {name!r})"
-        )
     return cls(circuit, **kwargs)
 
 
@@ -137,7 +123,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "DEFAULT_DEADLOCK_WINDOW",
     "Engine",
-    "FF_ENV",
     "HandshakeSanitizer",
     "LANES_ENV",
     "Memory",
@@ -146,7 +131,6 @@ __all__ = [
     "Trace",
     "create_batched_engine",
     "create_engine",
-    "fast_forward_default",
     "lanes_default",
     "sanitize_default",
 ]

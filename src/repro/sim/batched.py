@@ -20,7 +20,8 @@ therefore the *control* behaviour is shared, only the data differs.
   engines catch it (loop exit status 4) and **promote the batch to
   mask-lane (MIMD) execution**: the same module's ``make_mask_loop``
   re-runs the pass with every 1-bit control signal packed as a per-lane
-  bitmask integer, per-unit sequential state split per lane
+  bitmask integer, data still in lane tuples (recorded as the engine's
+  ``data_plane``, ``"tuple"``), per-unit sequential state split per lane
   (:func:`~repro.sim.codegen_blocks.mask_state`), and a ``live`` mask
   giving each lane its own done/cycle-freeze bit.  Lanes keep executing
   in parallel through arbitrary control divergence; nothing falls back
@@ -57,14 +58,13 @@ Three batched backends mirror the scalar trio:
 
 Observers are refused up front: a ``Trace``/``SimProfile``/sanitizer
 observes one circuit execution, and a batched pass is ``B`` of them
-folded together; fast-forward is a scalar-codegen feature.  Use scalar
-runs (``lanes=None``) for observed simulations.
+folded together.  Use scalar runs (``lanes=None``) for observed
+simulations.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence
@@ -76,38 +76,17 @@ from ..errors import (
     LaneDivergence,
     SimulationError,
 )
-from .codegen import (
-    CodegenEngine,
-    fast_forward_default,
-    generate_source,
-    load_module,
-    source_key,
-    unsupported_units,
-)
+from .codegen import CodegenEngine, generate_source, load_module, source_key
 from .codegen_blocks import mask_state
 from .compiled import CompiledEngine
 from .deadlock import diagnose
 from .engine import DEFAULT_DEADLOCK_WINDOW, Engine
 from .memory import Memory
-from .npplane import (
-    NO_NUMPY_ENV,
-    channel_kinds,
-    np_data_columns,
-    np_mask_state,
-    numpy_available,
-    numpy_disabled,
-    numpy_module,
-    plane_unsupported_reasons,
-    vector_ops,
-)
 from .sanitize import sanitize_default
 from .signal_graph import compile_schedule
 
-_log = logging.getLogger(__name__)
-
 #: Environment variable giving ``run``/``sweep`` their ``--lanes``
-#: default, matching the ``REPRO_SIM_BACKEND``/``REPRO_SIM_FF``
-#: convention.
+#: default, matching the ``REPRO_SIM_BACKEND`` convention.
 LANES_ENV = "REPRO_SIM_LANES"
 
 
@@ -159,6 +138,9 @@ class BatchedEngineBase:
     backend = "?"
     #: Scalar engine family the fallback (and the event backend) runs.
     scalar_backend = "?"
+    #: Lanes run on scalar engines here; the generated-loop engines
+    #: override this with their lane representation.
+    data_plane = "scalar"
 
     def _init_batched(
         self,
@@ -168,7 +150,6 @@ class BatchedEngineBase:
         trace,
         profile,
         sanitize: Optional[bool],
-        fast_forward: Optional[bool],
         deadlock_window: int,
     ) -> None:
         if not isinstance(lanes, int) or lanes < 1:
@@ -199,15 +180,6 @@ class BatchedEngineBase:
                 "checks one execution's handshake contract per cycle; "
                 "drop --sanitize/REPRO_SIM_SANITIZE or run scalar "
                 "(lanes=None)"
-            )
-        if fast_forward is True or (
-            fast_forward is None and fast_forward_default()
-        ):
-            raise SimulationError(
-                "fast-forward is a scalar codegen feature and cannot be "
-                "combined with batched lanes (lanes already amortize "
-                "steady-state cost); drop --fast-forward/REPRO_SIM_FF "
-                "or run scalar (lanes=None)"
             )
         circuit.validate()
         self.circuit = circuit
@@ -296,7 +268,7 @@ class BatchedEngineBase:
             )
         return CodegenEngine(
             self.circuit, memory=mem, sanitize=False,
-            deadlock_window=self.deadlock_window, fast_forward=False,
+            deadlock_window=self.deadlock_window,
         )
 
     def _run_per_lane(
@@ -343,6 +315,9 @@ class BatchedEngineBase:
 class _LanedLoopEngine(BatchedEngineBase):
     """Common machinery of the two lane-parallel generated-loop engines."""
 
+    #: The mask loop carries per-lane data as lane tuples.
+    data_plane = "tuple"
+
     def __init__(
         self,
         circuit: DataflowCircuit,
@@ -351,13 +326,11 @@ class _LanedLoopEngine(BatchedEngineBase):
         trace=None,
         profile=None,
         sanitize: Optional[bool] = None,
-        fast_forward: Optional[bool] = None,
         deadlock_window: int = DEFAULT_DEADLOCK_WINDOW,
-        data_plane: Optional[str] = None,
     ):
         self._init_batched(
             circuit, lanes, memories, trace, profile, sanitize,
-            fast_forward, deadlock_window,
+            deadlock_window,
         )
         schedule = compile_schedule(circuit)
         self.schedule = schedule
@@ -365,43 +338,6 @@ class _LanedLoopEngine(BatchedEngineBase):
         self._units = units
         for u in units:
             u.reset()
-
-        # Mask-loop data plane: "numpy" (vectorized columns + lane-masked
-        # arming) when available and bit-exact for this circuit, "tuple"
-        # (the pure-Python original) otherwise.  ``data_plane`` pins the
-        # choice; "numpy" fails loudly when the plane cannot run.
-        plane = "auto" if data_plane is None else data_plane
-        if plane not in ("auto", "numpy", "tuple"):
-            raise SimulationError(
-                f"unknown data plane {plane!r} "
-                "(use 'numpy', 'tuple' or None for auto)"
-            )
-        kinds = None
-        if plane != "tuple":
-            if numpy_disabled():
-                reasons = [f"${NO_NUMPY_ENV} forces the tuple plane"]
-            elif not numpy_available():
-                reasons = ["numpy is not installed (pip install .[fast])"]
-            else:
-                kinds = channel_kinds(circuit, schedule, units)
-                reasons = plane_unsupported_reasons(
-                    circuit, schedule, units, kinds
-                )
-            if reasons:
-                if plane == "numpy":
-                    raise SimulationError(
-                        "numpy data plane unavailable for this circuit: "
-                        + "; ".join(reasons)
-                    )
-                plane, kinds = "tuple", None
-            else:
-                plane = "numpy"
-        self.data_plane = plane
-        self._np_kinds = kinds
-        _log.info(
-            "batched %s engine: %s data plane, %d lanes",
-            self.backend, plane, lanes,
-        )
 
         nch = schedule.nch
         self.valid = bytearray(nch)
@@ -426,18 +362,11 @@ class _LanedLoopEngine(BatchedEngineBase):
         self._mv: Optional[List[int]] = None
         self._mr: Optional[List[int]] = None
         self._mstate: Optional[List[Optional[dict]]] = None
-        # Numpy-plane extras (promotion builds them when active).
-        self._npd: Optional[List[object]] = None
-        self._amasks: Optional[List[int]] = None
-        self._avmasks: Optional[List[int]] = None
-        self._vops: Optional[Dict[int, object]] = None
         self._live = 0
         self._fa = 0
         self._mask_loop = None
 
-        source = generate_source(
-            circuit, schedule, lanes=True, data_plane=self.data_plane
-        )
+        source = generate_source(circuit, schedule, lanes=True)
         ns, key, origin = self._load(source)
         self.codegen_key = key
         self.codegen_origin = origin
@@ -472,37 +401,14 @@ class _LanedLoopEngine(BatchedEngineBase):
         """
         lb = self.lanes
         full = (1 << lb) - 1
-        sched = self.schedule
         # Control bits -> lane bitmasks.
         self._mv = [full if b else 0 for b in self.valid]
         self._mr = [full if b else 0 for b in self.ready]
-        if self.data_plane == "numpy":
-            # Data locals -> persistent per-channel columns (stale
-            # don't-care fills where no lane is valid); arm flags ->
-            # full-width lane masks so the first pass recomputes the
-            # fixpoint for every lane, exactly like initialization.
-            np = numpy_module()
-            kinds = self._np_kinds
-            self._npd = np_data_columns(np, self.data, kinds, lb)
-            self._amasks = [full] * sched.n_occ
-            self._avmasks = [full] * sched.n_occ
-            self._vops = vector_ops(
-                self._units, kinds, sched.in_chs, sched.out_chs
-            )
-            self._mstate = [
-                np_mask_state(
-                    u, lb, full,
-                    kinds[sched.out_chs[s][0]]
-                    if sched.out_chs[s] else "n",
-                )
-                for s, u in enumerate(self._units)
-            ]
-        else:
-            zt = (None,) * lb
-            # Data locals -> always lane tuples (``zt`` stands in
-            # wherever no lane is valid).
-            self.data = [zt if d is None else d for d in self.data]
-            self._mstate = [mask_state(u, lb, full) for u in self._units]
+        zt = (None,) * lb
+        # Data locals -> always lane tuples (``zt`` stands in wherever no
+        # lane is valid).
+        self.data = [zt if d is None else d for d in self.data]
+        self._mstate = [mask_state(u, lb, full) for u in self._units]
         self._aflags[:] = b"\x01" * len(self._aflags)
         self._quiet = False
         # Lanes already retired by a partial done-mask coast from the
@@ -694,24 +600,12 @@ class BatchedEventEngine(BatchedEngineBase):
         trace=None,
         profile=None,
         sanitize: Optional[bool] = None,
-        fast_forward: Optional[bool] = None,
         deadlock_window: int = DEFAULT_DEADLOCK_WINDOW,
-        data_plane: Optional[str] = None,
     ):
         self._init_batched(
             circuit, lanes, memories, trace, profile, sanitize,
-            fast_forward, deadlock_window,
+            deadlock_window,
         )
-        # The event backend runs lanes sequentially on scalar engines:
-        # there is no laned data representation to select.  ``data_plane``
-        # is accepted for API parity; asking for a specific laned plane
-        # is a contradiction and fails loudly.
-        if data_plane not in (None, "auto"):
-            raise SimulationError(
-                "the event backend runs lanes on scalar engines and has "
-                f"no laned data plane (got data_plane={data_plane!r})"
-            )
-        self.data_plane = "scalar"
 
     def run_lanes(
         self,

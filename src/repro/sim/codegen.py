@@ -37,12 +37,8 @@ source *plus* the sweep cache's repro-source salt and the interpreter's
 bytecode magic, so editing any repro module — in particular this
 generator — or switching Python versions can never serve stale code.
 
-Steady-state fast-forward (``fast_forward=True`` / ``--fast-forward`` /
-``$REPRO_SIM_FF``) lives in :mod:`repro.sim.fastforward` and is wired
-into :meth:`CodegenEngine.run`; it is rejected at construction when a
-``Trace`` or ``HandshakeSanitizer`` is attached (those observers need
-every cycle), and :class:`~repro.sim.profile.SimProfile` is rejected
-always — the generated loop has no per-unit instrumentation points.
+:class:`~repro.sim.profile.SimProfile` is rejected at construction: the
+generated loop has no per-unit instrumentation points.
 """
 
 from __future__ import annotations
@@ -82,12 +78,6 @@ from .codegen_blocks import (
     mask_local,
     mask_obj_names,
 )
-from .codegen_npblocks import (
-    NP_MASK_EVAL_BLOCKS,
-    NP_MASK_TICK_BLOCKS,
-    np_dense_eligible,
-)
-from .npplane import channel_kinds, np_extra_int_names, np_extra_obj_names
 from .deadlock import diagnose
 from .engine import DEFAULT_DEADLOCK_WINDOW, BaseEngine
 
@@ -98,21 +88,11 @@ from .profile import SimProfile
 from .signal_graph import CircuitSchedule, compile_schedule
 from .trace import Trace
 
-#: Environment switch for steady-state fast-forward (codegen backend only).
-FF_ENV = "REPRO_SIM_FF"
-
 #: Environment override for the generated-module disk cache directory.
 CODEGEN_CACHE_ENV = "REPRO_CODEGEN_CACHE"
 
 #: Magic prefix of the on-disk marshalled bytecode payloads.
 _PYC_HEADER = b"RCG1"
-
-
-def fast_forward_default() -> bool:
-    """Fast-forward default from ``$REPRO_SIM_FF`` (off unless set)."""
-    return os.environ.get(FF_ENV, "").strip().lower() in (
-        "1", "true", "on", "yes"
-    )
 
 
 def codegen_cache_dir() -> Path:
@@ -153,8 +133,7 @@ def unsupported_units(units, schedule: CircuitSchedule) -> List[str]:
 
 def generate_source(circuit: DataflowCircuit,
                     schedule: CircuitSchedule,
-                    lanes: bool = False,
-                    data_plane: str = "tuple") -> str:
+                    lanes: bool = False) -> str:
     """Emit the specialized simulation module for ``circuit``.
 
     Deterministic: the same circuit structure and code-shaping parameters
@@ -174,20 +153,7 @@ def generate_source(circuit: DataflowCircuit,
     The lane count itself is a runtime binding (``rt.lanes``), so one
     laned module serves every batch width — but laned and scalar source
     always differ (distinct disk-cache keys).
-
-    ``data_plane`` (laned modules only) selects the mask loop's data
-    representation: ``"tuple"`` (the pure-Python lane-tuple plane) or
-    ``"numpy"`` (per-channel float64 columns + lane-masked arming, see
-    :mod:`repro.sim.codegen_npblocks`).  The two variants differ in
-    source text — and therefore in disk-cache key — while their
-    lockstep ``make_loop`` halves are identical line for line, so the
-    plane choice cannot perturb lockstep behaviour or performance.
     """
-    if data_plane not in ("tuple", "numpy"):
-        raise SimulationError(
-            f"unknown data plane {data_plane!r} (use 'tuple' or 'numpy')"
-        )
-    npmode = lanes and data_plane == "numpy"
     units = [circuit.units[n] for n in schedule.names]
     bad = unsupported_units(units, schedule)
     if bad:
@@ -211,33 +177,13 @@ def generate_source(circuit: DataflowCircuit,
 
     L: List[str] = []
     add = L.append
-    if npmode:
-        variant = "laned, numpy mask plane"
-    elif lanes:
-        variant = "laned"
-    else:
-        variant = "scalar"
+    variant = "laned" if lanes else "scalar"
     add(f"# Generated by repro.sim.codegen ({variant}) -- "
         "do not edit by hand.")
     add(f"# structure {schedule.key[:16]}: {n_units} units, "
         f"{len(live)} channels, {n_occ} occurrences, "
         f"{len(tick_slots)} tickable")
     add("")
-    if npmode:
-        add("import numpy as _np")
-        add("")
-        add("")
-        add("def _pki(_a):")
-        add("    return int.from_bytes(_np.packbits("
-            "_a, bitorder='little').tobytes(), 'little')")
-        add("")
-        add("")
-        add("def _unpk(_m, _nb, _lb):")
-        add("    return _np.unpackbits(_np.frombuffer("
-            "_m.to_bytes(_nb, 'little'), _np.uint8), "
-            "count=_lb, bitorder='little').view(_np.bool_)")
-        add("")
-        add("")
     add("def make_loop(rt):")
     add("    U = rt._units")
     add("    V = rt.valid")
@@ -464,18 +410,16 @@ def generate_source(circuit: DataflowCircuit,
     add("")
 
     if lanes:
-        kinds = channel_kinds(circuit, schedule, units) if npmode else None
         _emit_mask_loop(
             L, schedule, units, live, n_occ, needs_mem, occ_groups,
             fire_groups, tick_groups, tgidx, tick_slots, carry_slots,
-            kinds=kinds,
         )
     return "\n".join(L)
 
 
 def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
                     fire_groups, tick_groups, tgidx, tick_slots,
-                    carry_slots, kinds=None) -> None:
+                    carry_slots) -> None:
     """Append ``make_mask_loop(rt)`` to a laned module's source.
 
     The mask loop is the MIMD continuation the batched engine promotes to
@@ -505,7 +449,6 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     into ``rt._lane_fires`` in the epilogue — O(lanes) once per
     ``mloop`` call instead of per fired channel per cycle.
     """
-    npmode = kinds is not None
     in_chs, out_chs = schedule.in_chs, schedule.out_chs
     retire_chs = set()
     for s, u in enumerate(units):
@@ -517,21 +460,12 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add("    U = rt._units")
     add("    MV = rt._mv")
     add("    MR = rt._mr")
-    if npmode:
-        add("    ND = rt._npd")
-        add("    A = rt._amasks")
-        add("    AV = rt._avmasks")
-        add("    VO = rt._vops")
-    else:
-        add("    D = rt.data")
-        add("    A = rt._aflags")
+    add("    D = rt.data")
+    add("    A = rt._aflags")
     add("    MS = rt._mstate")
     add("    LB = rt.lanes")
     add("    FULL = (1 << LB) - 1")
-    if npmode:
-        add("    NB = (LB + 7) // 8")
-    else:
-        add("    ztup = (None,) * LB")
+    add("    ztup = (None,) * LB")
     add("    LC = rt.lane_cycles")
     add("    LF = rt._lane_fires")
     if needs_mem:
@@ -543,17 +477,11 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
             mbinds.append(f"cp{s} = U[{s}]._compute")
             for slot in sorted(u.const_ops):
                 mbinds.append(f"uc{s}_{slot} = U[{s}].const_ops[{slot}]")
-            if npmode and np_dense_eligible(u, in_chs[s], out_chs[s],
-                                            kinds):
-                mbinds.append(f"vop{s} = VO.get({s})")
         if isinstance(u, (Entry, Constant)):
-            if npmode:
-                mbinds.append(f"uv{s} = U[{s}].value")
-            else:
-                mbinds.append(f"uv{s} = (U[{s}].value,) * LB")
+            mbinds.append(f"uv{s} = (U[{s}].value,) * LB")
         if isinstance(u, Sequence):
             mbinds.append(f"uvq{s} = U[{s}].values")
-        if not npmode and isinstance(u, (ArbiterMerge, FixedOrderMerge)):
+        if isinstance(u, (ArbiterMerge, FixedOrderMerge)):
             mbinds.append(
                 f"lsel{s} = tuple((_i,) * LB for _i in range({u.n_in}))"
             )
@@ -563,32 +491,18 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add("")
     add("    def mloop(budget, done_lane, max_cycles, window):")
     P = "        "
-    W = P + ("    " if npmode else "")
-    B = W + "    "
+    B = P + "    "
 
     # -- prologue ----------------------------------------------------------
-    if npmode:
-        _pack(L, [f"v{c} = MV[{c}]; r{c} = MR[{c}]" for c in live],
-              P, per=3)
-        _pack(L, [f"d{c} = ND[{c}]" for c in live if kinds[c] != "n"],
-              P, per=4)
-    else:
-        _pack(L, [f"v{c} = MV[{c}]; r{c} = MR[{c}]; d{c} = D[{c}]"
-                  for c in live], P, per=2)
+    _pack(L, [f"v{c} = MV[{c}]; r{c} = MR[{c}]; d{c} = D[{c}]"
+              for c in live], P, per=2)
     _pack(L, [f"a{k} = A[{k}]" for k in range(n_occ)], P)
-    if npmode:
-        _pack(L, [f"av{k} = AV[{k}]" for k in range(n_occ)], P)
     _pack(L, [f"ga{g} = " + " or ".join(f"a{k}" for k in ks) + " or 0"
               for g, ks in enumerate(occ_groups)], P, per=2)
     _pack(L, [f"fg{g} = 1" for g in fire_groups], P)
     sbinds: List[str] = []
     for s, u in enumerate(units):
-        names = mask_int_names(u) + mask_obj_names(u)
-        if npmode:
-            ok = kinds[out_chs[s][0]] if out_chs[s] else "n"
-            names = mask_int_names(u) + np_extra_int_names(u) \
-                + mask_obj_names(u) + np_extra_obj_names(u, ok)
-        for nm in names:
+        for nm in mask_int_names(u) + mask_obj_names(u):
             sbinds.append(f"{mask_local(nm, s)} = MS[{s}][{nm!r}]")
     _pack(L, sbinds, P, per=4)
     _pack(L, [f"t{s} = 0; tb{s} = 0" for s in tick_slots], P, per=4)
@@ -607,12 +521,7 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add(P + "total_fires = rt.total_fires")
     add(P + "status = 0")
     add(P + "fires = 0")
-    if npmode:
-        # Match the scalar engine's silence on inf/nan arithmetic (the
-        # sparse path and Python floats never warn); restored on exit.
-        add(P + "_olderr = _np.seterr(all='ignore')")
-        add(P + "try:")
-    add(W + "while budget > 0:")
+    add(P + "while budget > 0:")
 
     # -- per-lane retirement (fire-activity gated) -------------------------
     add(B + "if fa:")
@@ -649,18 +558,10 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
         for k in ks:
             s = schedule.occ_units[k]
             u = units[s]
-            if npmode:
-                block = NP_MASK_EVAL_BLOCKS[type(u)](
-                    s, u, in_chs[s], out_chs[s], schedule, kinds
-                )
-            else:
-                block = MASK_EVAL_BLOCKS[type(u)](
-                    s, u, in_chs[s], out_chs[s], schedule
-                )
+            block = MASK_EVAL_BLOCKS[type(u)](
+                s, u, in_chs[s], out_chs[s], schedule
+            )
             add(B + f"    if a{k}:")
-            if npmode:
-                add(B + f"        amv = av{k}")
-                add(B + f"        av{k} = 0")
             add(B + f"        a{k} = 0")
             for line in block:
                 add(B + "        " + line)
@@ -708,13 +609,8 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
             add(B + f"    tg{g} = 0")
             for s in ss:
                 u = units[s]
-                if npmode:
-                    tk_gen = NP_MASK_TICK_BLOCKS[type(u)][0]
-                    tk = tk_gen(s, u, in_chs[s], out_chs[s], schedule,
-                                kinds)
-                else:
-                    tk_gen = MASK_TICK_BLOCKS[type(u)][0]
-                    tk = tk_gen(s, u, in_chs[s], out_chs[s], schedule)
+                tk_gen = MASK_TICK_BLOCKS[type(u)][0]
+                tk = tk_gen(s, u, in_chs[s], out_chs[s], schedule)
                 member = (f"if t{s} or (kc{s} & live):"
                           if s in carry_slots else f"if t{s}:")
                 add(B + "    " + member)
@@ -732,20 +628,10 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
             add(B + f"        tgb{g} = 0")
             for s in ss:
                 u = units[s]
-                if npmode:
-                    pk_gen = NP_MASK_TICK_BLOCKS[type(u)][1]
-                    pk = pk_gen(s, u, in_chs[s], out_chs[s], schedule,
-                                kinds)
-                else:
-                    pk_gen = MASK_TICK_BLOCKS[type(u)][1]
-                    pk = pk_gen(s, u, in_chs[s], out_chs[s], schedule)
+                pk_gen = MASK_TICK_BLOCKS[type(u)][1]
+                pk = pk_gen(s, u, in_chs[s], out_chs[s], schedule)
                 add(B + f"        if tb{s}:")
                 add(B + f"            tb{s} = 0")
-                if npmode:
-                    # Re-arm the signal recompute with exactly the lanes
-                    # the tick touched (the arming invariant across
-                    # clock edges).
-                    add(B + f"            amv = _tc{s}")
                 for line in pk:
                     add(B + "            " + line)
         if carry_slots:
@@ -758,9 +644,6 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add(B + "if idle >= window:")
     add(B + "    status = 2")
     add(B + "    break")
-    if npmode:
-        add(P + "finally:")
-        add(P + "    _np.seterr(**_olderr)")
 
     # -- epilogue ----------------------------------------------------------
     add(P + "for _p in range(len(VP)):")
@@ -769,22 +652,12 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add(P + "        _b = _x & -_x")
     add(P + "        _x &= _x - 1")
     add(P + "        LF[_b.bit_length() - 1] += 1 << _p")
-    if npmode:
-        # Columns (rt._npd) are mutated in place: no data writeback.
-        _pack(L, [f"MV[{c}] = v{c}; MR[{c}] = r{c}" for c in live],
-              P, per=3)
-    else:
-        _pack(L, [f"MV[{c}] = v{c}; MR[{c}] = r{c}; D[{c}] = d{c}"
-                  for c in live], P, per=2)
+    _pack(L, [f"MV[{c}] = v{c}; MR[{c}] = r{c}; D[{c}] = d{c}"
+              for c in live], P, per=2)
     _pack(L, [f"A[{k}] = a{k}" for k in range(n_occ)], P)
-    if npmode:
-        _pack(L, [f"AV[{k}] = av{k}" for k in range(n_occ)], P)
     wbacks: List[str] = []
     for s, u in enumerate(units):
-        int_names = mask_int_names(u)
-        if npmode:
-            int_names = int_names + np_extra_int_names(u)
-        for nm in int_names:
+        for nm in mask_int_names(u):
             wbacks.append(f"MS[{s}][{nm!r}] = {mask_local(nm, s)}")
     _pack(L, wbacks, P, per=4)
     add(P + "rt.cycle = cycle")
@@ -906,7 +779,6 @@ class CodegenEngine(BaseEngine):
         deadlock_window: int = DEFAULT_DEADLOCK_WINDOW,
         profile: Optional[SimProfile] = None,
         sanitize: Union[bool, "HandshakeSanitizer", None] = None,
-        fast_forward: Optional[bool] = None,
     ):
         if profile is not None:
             raise SimulationError(
@@ -917,22 +789,6 @@ class CodegenEngine(BaseEngine):
         self._init_common(
             circuit, memory, trace, deadlock_window, None, sanitize
         )
-        if fast_forward is None:
-            fast_forward = fast_forward_default()
-        self.fast_forward = bool(fast_forward)
-        if self.fast_forward and self.trace is not None:
-            raise SimulationError(
-                "fast-forward advances whole periods analytically and "
-                "cannot drive a Trace (it needs every cycle); detach the "
-                "trace or disable fast-forward"
-            )
-        if self.fast_forward and self.sanitizer is not None:
-            raise SimulationError(
-                "fast-forward advances whole periods analytically and "
-                "cannot drive the HandshakeSanitizer (it needs every "
-                "cycle); drop --sanitize/REPRO_SIM_SANITIZE or disable "
-                "fast-forward"
-            )
 
         schedule = compile_schedule(circuit)
         self.schedule = schedule
@@ -956,9 +812,6 @@ class CodegenEngine(BaseEngine):
         #: it raises instead — so this mirror of the compiled backend's
         #: attribute is always empty.
         self.generic_units: List[str] = []
-        #: Whole periods applied analytically by fast-forward (see
-        #: :mod:`repro.sim.fastforward`); stays 0 unless it engages.
-        self.ff_periods_applied = 0
 
         self._reset_units(units)
 
@@ -1007,13 +860,6 @@ class CodegenEngine(BaseEngine):
 
     def run(self, done, max_cycles: int = 1_000_000) -> int:
         """Run until ``done()`` holds; same contract as BaseEngine.run."""
-        if self.fast_forward:
-            from .fastforward import run_fast_forward
-
-            status = run_fast_forward(self, done, max_cycles)
-            self._raise_status(status, max_cycles)
-            return self.cycle
-
         trace = self.trace
         rec = trace.record if trace is not None and trace.active else None
         san = self.sanitizer

@@ -61,8 +61,8 @@ class BaseEngine:
     backend = "?"
 
     #: Data representation the engine executes with.  One-lane engines
-    #: are always ``"scalar"``; the batched engines override this with
-    #: the mask loop's lane representation (``"tuple"`` or ``"numpy"``).
+    #: are always ``"scalar"``; the generated-loop batched engines run
+    #: lane tuples (``"tuple"``).
     #: Recorded in :class:`~repro.frontend.runner.KernelRun` and
     #: :class:`~repro.pipeline.TechniqueResult` for provenance.
     data_plane = "scalar"

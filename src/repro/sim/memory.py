@@ -4,10 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-try:  # numpy is the optional [fast] extra; cells are plain lists anyway
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without [fast]
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..errors import SimulationError
 
@@ -64,13 +61,9 @@ class Memory:
         self.writes += 1
         cells[addr] = float(value)
 
-    def dump(self, name: str):
-        """Snapshot an array's contents as a NumPy vector (a plain list
-        of floats when numpy is not installed)."""
-        cells = self._cells(name)
-        if np is None:
-            return list(cells)
-        return np.array(cells, dtype=float)
+    def dump(self, name: str) -> np.ndarray:
+        """Snapshot an array's contents as a NumPy vector."""
+        return np.array(self._cells(name), dtype=float)
 
     def snapshot(self) -> Dict[str, List[float]]:
         """Copy of every array's cells (batched engines snapshot initial

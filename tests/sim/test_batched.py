@@ -8,9 +8,9 @@ tuples for data), promotes to mask-lane (MIMD) execution after a
 lane on a scalar engine (event backend).  The scalar engines are the
 oracle.
 
-Also covered: the observer/fast-forward refusal contract (batched mode
-rejects Trace/SimProfile/sanitizer/fast-forward with clean errors, the
-profile CLI exits 2 on ``--lanes``), per-seed sweep cache rows
+Also covered: the observer refusal contract (batched mode rejects
+Trace/SimProfile/sanitizer with clean errors, the profile CLI exits 2
+on ``--lanes``), per-seed sweep cache rows
 (batched-vs-scalar and warm-vs-cold equivalence), and the codegen disk
 cache's laned/scalar key separation (a laned module must never poison a
 scalar run, or vice versa).
@@ -334,7 +334,7 @@ def test_random_fork_join_batched_lanes_match_scalar(
 
 
 # ---------------------------------------------------------------------------
-# observer / fast-forward refusal contract
+# observer refusal contract
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -346,8 +346,6 @@ def test_batched_refuses_observers(backend):
         create_engine(c, backend=backend, lanes=2, profile=SimProfile())
     with pytest.raises(SimulationError, match="[Ss]anitizer"):
         create_engine(c, backend=backend, lanes=2, sanitize=True)
-    with pytest.raises(SimulationError, match="fast-forward"):
-        create_engine(c, backend=backend, lanes=2, fast_forward=True)
 
 
 def test_batched_refuses_env_defaulted_observers(monkeypatch):
@@ -355,14 +353,6 @@ def test_batched_refuses_env_defaulted_observers(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
     with pytest.raises(SimulationError, match="[Ss]anitizer"):
         create_engine(c, backend="compiled", lanes=2)
-    monkeypatch.delenv("REPRO_SIM_SANITIZE")
-    monkeypatch.setenv("REPRO_SIM_FF", "1")
-    with pytest.raises(SimulationError, match="fast-forward"):
-        create_engine(c, backend="codegen", lanes=2)
-    # Explicit opt-out must win over the environment, as in scalar mode.
-    monkeypatch.setenv("REPRO_SIM_FF", "0")
-    eng = create_engine(c, backend="codegen", lanes=2)
-    assert eng.lanes == 2
 
 
 def test_create_engine_lane_argument_validation():

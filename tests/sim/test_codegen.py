@@ -4,14 +4,13 @@ The codegen backend (`repro.sim.codegen`) emits one flat specialized
 Python module per circuit structure and must stay *bit-identical* to
 the event-driven oracle — same cycle counts, same per-channel firing
 traces, same final memory and sink state — on golden kernels (covered
-three-ways in test_compiled.py), on randomized circuits in lockstep,
-and with steady-state fast-forward enabled.  Also covered here: the
+three-ways in test_compiled.py) and on randomized circuits in lockstep.
+Also covered here: the
 content-addressed generated-module cache (in-process, disk, and salted
 invalidation), the observer restrictions, and the CLI's clean error
 exits for unsupported combinations.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,13 +27,9 @@ from repro.circuit import (
     TransparentFifo,
 )
 from repro.errors import SimulationError
-from repro.frontend import simulate_kernel
 from repro.sim import SimProfile, Trace, create_engine
 from repro.sim.codegen import CodegenEngine, load_module
-from repro.sim.fastforward import CHECK_EVERY
 from repro.sim.signal_graph import compile_schedule
-
-from .test_compiled import _prepare
 
 
 @pytest.fixture
@@ -134,28 +129,11 @@ def test_random_fork_join_lockstep_event_codegen(values, n_out, latency):
 
 
 # ---------------------------------------------------------------------------
-# fast-forward: equivalence on kernels, engagement on a periodic stream
-
-
-FF_KERNELS = ["gsum", "atax", "bicg", "mvt", "gesummv"]
-
-
-@pytest.mark.parametrize("kernel", FF_KERNELS)
-def test_fast_forward_equivalent_on_kernels(kernel):
-    lowered = _prepare(kernel, "crush")
-    plain = simulate_kernel(lowered, max_cycles=2_000_000,
-                            backend="codegen", fast_forward=False)
-    ff = simulate_kernel(lowered, max_cycles=2_000_000,
-                         backend="codegen", fast_forward=True)
-    assert plain.cycles == ff.cycles
-    assert plain.fires == ff.fires
-    assert set(plain.arrays) == set(ff.arrays)
-    for name in plain.arrays:
-        assert np.array_equal(plain.arrays[name], ff.arrays[name]), name
+# observer restrictions and backend plumbing
 
 
 def _streaming_circuit(n_tokens):
-    """Entry -> buffered FU pipeline -> Sink: II-1 periodic steady state."""
+    """Entry -> buffered FU pipeline -> Sink."""
     c = DataflowCircuit("stream")
     prev = c.add(Entry("src", value=1.5, count=n_tokens))
     for i in range(4):
@@ -170,53 +148,10 @@ def _streaming_circuit(n_tokens):
     return c
 
 
-def test_fast_forward_engages_and_is_exact_on_periodic_stream():
-    n = 50 * CHECK_EVERY
-    results = {}
-    for ff in (False, True):
-        c = _streaming_circuit(n)
-        eng = create_engine(c, backend="codegen", fast_forward=ff)
-        sink = c.units["out"]
-        cycles = eng.run(lambda: sink.count >= n, max_cycles=10 * n)
-        results[ff] = (cycles, eng.total_fires, tuple(sink.received))
-        if ff:
-            assert eng.ff_periods_applied > 0  # it actually fast-forwarded
-    assert results[False] == results[True]
-
-
-def test_fast_forward_env_default(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_FF", "1")
-    eng = create_engine(_streaming_circuit(4), backend="codegen")
-    assert eng.fast_forward
-    monkeypatch.setenv("REPRO_SIM_FF", "0")
-    eng = create_engine(_streaming_circuit(4), backend="codegen")
-    assert not eng.fast_forward
-
-
-# ---------------------------------------------------------------------------
-# observer restrictions and backend plumbing
-
-
 def test_codegen_rejects_profile():
     with pytest.raises(SimulationError, match="SimProfile"):
         create_engine(_streaming_circuit(4), backend="codegen",
                       profile=SimProfile())
-
-
-def test_fast_forward_rejects_trace_and_sanitizer():
-    with pytest.raises(SimulationError, match="Trace"):
-        create_engine(_streaming_circuit(4), backend="codegen",
-                      fast_forward=True, trace=Trace(record_all=True))
-    with pytest.raises(SimulationError, match="[Ss]anitizer"):
-        create_engine(_streaming_circuit(4), backend="codegen",
-                      fast_forward=True, sanitize=True)
-
-
-def test_fast_forward_requires_codegen_backend():
-    for backend in ("event", "compiled"):
-        with pytest.raises(SimulationError, match="codegen"):
-            create_engine(_streaming_circuit(4), backend=backend,
-                          fast_forward=True)
 
 
 def test_codegen_rejects_non_catalogue_units():
@@ -246,9 +181,9 @@ def test_profile_cli_errors_cleanly_on_codegen(capsys):
     assert "SimProfile" in err or "profile" in err
 
 
-def test_run_cli_accepts_codegen_and_fast_forward(capsys):
+def test_run_cli_accepts_codegen(capsys):
     rc = cli_main(["run", "gsum", "crush", "--scale", "small",
-                   "--sim-backend", "codegen", "--fast-forward"])
+                   "--sim-backend", "codegen"])
     assert rc == 0
     assert "codegen backend" in capsys.readouterr().out
 

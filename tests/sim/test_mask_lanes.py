@@ -12,16 +12,12 @@ contract:
 * lanes frozen by an early ``done`` predicate never perturb survivors
   (hypothesis property);
 * the mask-capable laned module has its own content-addressed disk-cache
-  key and still promotes correctly when reloaded from disk; the numpy
-  and tuple data-plane variants of the laned module also have disjoint
-  keys;
+  key and still promotes correctly when reloaded from disk;
 * every golden configuration survives being *forced* through the mask
-  loop from cycle 0 (``start_masked=True``) bit-identically — through
-  **both** data planes (numpy lane columns and pure-Python lane tuples);
-* the numpy plane's lane-masked arming fires exactly the same per-lane
-  work as the tuple plane's full-scan loop (hypothesis property), and
-  mid-run lockstep→mask promotion lifts state correctly into either
-  representation.
+  loop from cycle 0 (``start_masked=True``) bit-identically on the lane
+  tuple data plane;
+* mid-run lockstep→mask promotion lifts live state into lane tuples
+  correctly, and batched runs record that plane as their provenance.
 """
 
 import numpy as np
@@ -83,13 +79,11 @@ def _lane_memories(kernel, seeds):
     return memories, expected
 
 
-def _run_batched(lowered, seeds, backend, start_masked=False,
-                 data_plane=None):
+def _run_batched(lowered, seeds, backend, start_masked=False):
     kernel = lowered.kernel
     memories, expected = _lane_memories(kernel, seeds)
     engine = create_engine(
         lowered.circuit, backend=backend, lanes=len(seeds), memories=memories,
-        data_plane=data_plane,
     )
     end = lowered.end_sink
 
@@ -294,21 +288,6 @@ def test_mask_variant_has_its_own_cache_key(codegen_cache):
     assert source_key(stripped) != source_key(laned_src)
 
 
-def test_numpy_and_tuple_planes_have_disjoint_cache_keys(codegen_cache):
-    # The two data-plane variants generate different mask-loop bodies;
-    # content-addressed keying must keep them apart so a tuple module
-    # can never be served to a numpy engine (or vice versa).
-    c = _divergent_circuit()
-    schedule = compile_schedule(c)
-    tuple_src = generate_source(c, schedule, lanes=True, data_plane="tuple")
-    numpy_src = generate_source(c, schedule, lanes=True, data_plane="numpy")
-    assert tuple_src != numpy_src
-    assert source_key(tuple_src) != source_key(numpy_src)
-    # The default laned module is the tuple variant: numpy-ness is an
-    # explicit opt-in at generation time, not an ambient property.
-    assert generate_source(c, schedule, lanes=True) == tuple_src
-
-
 def test_disk_loaded_module_still_promotes(codegen_cache):
     def run_batch():
         memories = [_flags_memory(lane) for lane in range(3)]
@@ -341,25 +320,22 @@ def test_disk_loaded_module_still_promotes(codegen_cache):
 
 
 # ---------------------------------------------------------------------------
-# all 42 goldens forced through the mask loop from cycle 0, on both the
-# numpy and the pure-Python tuple data plane
+# all 42 goldens forced through the mask loop from cycle 0
 
 
-@pytest.mark.parametrize("plane", ["tuple", "numpy"])
+@pytest.mark.parametrize("plane", ["tuple"])
 @pytest.mark.parametrize("kernel,technique", PAIRS,
                          ids=[f"{k}-{t}" for k, t in PAIRS])
 def test_goldens_forced_mask_bit_identical(kernel, technique, plane):
     # start_masked=True promotes before the first cycle: the whole run
     # executes in mask mode, so lockstep-only kernels also prove the
-    # masked emitters bit-identical to scalar execution.  Forcing the
-    # plane (rather than letting it auto-resolve) makes this 42 goldens
-    # x {tuple, numpy}: every golden must be numpy-eligible — a circuit
-    # falling back would raise here, which is the zero-scalar-fallback
-    # acceptance bar.
+    # masked emitters bit-identical to scalar execution, with zero
+    # scalar-fallback lanes.  ``plane`` is the data plane the batch must
+    # report running on.
     lowered = _prepare(kernel, technique)
     seeds = [7, 11]
     engine, memories, cycles = _run_batched(
-        lowered, seeds, "codegen", start_masked=True, data_plane=plane,
+        lowered, seeds, "codegen", start_masked=True,
     )
     assert engine.data_plane == plane
     assert engine.mask_promotions == 1
@@ -376,58 +352,17 @@ def test_goldens_forced_mask_bit_identical(kernel, technique, plane):
 
 
 # ---------------------------------------------------------------------------
-# numpy plane vs tuple plane: lane-masked arming must do the same work
+# mid-run lockstep -> mask promotion lifts state into lane tuples
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    lanes=st.integers(min_value=2, max_value=6),
-    targets=st.data(),
-)
-def test_lane_masked_arming_matches_full_scan(lanes, targets):
-    # The numpy plane re-evaluates a comb block only for lanes whose
-    # inputs changed (lane-masked arming); the tuple plane re-scans
-    # every live lane.  Both must fire exactly the same transfers per
-    # lane — cycles, per-lane fire counts and sink contents are the
-    # observable of "same blocks-per-lane".
-    per_lane = {}
-    for plane in ("tuple", "numpy"):
-        c = _divergent_circuit()
-        memories = [_flags_memory(lane) for lane in range(lanes)]
-        engine = create_engine(c, backend="codegen", lanes=lanes,
-                               memories=memories, data_plane=plane)
-        cycles = engine.run_lanes(
-            lambda lane: (engine.sink_count("st", lane)
-                          + engine.sink_count("sf", lane)) >= N_FLAGS,
-            max_cycles=10_000, uniform_done=True,
-        )
-        assert engine.data_plane == plane
-        assert engine.fallback_lanes == 0
-        assert engine.mask_promotions == 1
-        per_lane[plane] = [
-            (cycles[lane], engine.lane_fires[lane],
-             tuple(engine.sink_received("st", lane)),
-             tuple(engine.sink_received("sf", lane)))
-            for lane in range(lanes)
-        ]
-    assert per_lane["numpy"] == per_lane["tuple"]
-
-
-# ---------------------------------------------------------------------------
-# mid-run lockstep -> mask promotion lifts state into both planes
-
-
-@pytest.mark.parametrize("plane", ["tuple", "numpy"])
+@pytest.mark.parametrize("plane", ["tuple"])
 def test_promotion_lifts_state_into_plane(plane):
     # gsumif diverges mid-run with fadd (latency 10) pipes in flight, so
-    # the numpy promotion exercises the vectorized per-stage pipe-column
-    # lift, the FIFO/queue column lift and the arming-mask construction
-    # — all from live lockstep state, not from reset.
+    # the promotion lifts per-stage pipe contents, FIFO queues and data
+    # locals from live lockstep state, not from reset.
     lowered = _prepare("gsumif", "crush")
     seeds = list(range(100, 108))
-    engine, memories, cycles = _run_batched(
-        lowered, seeds, "codegen", data_plane=plane,
-    )
+    engine, memories, cycles = _run_batched(lowered, seeds, "codegen")
     assert engine.data_plane == plane
     assert engine.mask_promotions == 1
     assert engine.fallback_lanes == 0
@@ -441,22 +376,7 @@ def test_promotion_lifts_state_into_plane(plane):
 
 
 # ---------------------------------------------------------------------------
-# escape hatch and provenance
-
-
-def test_no_numpy_env_forces_tuple_plane(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_NO_NUMPY", "1")
-    c = _divergent_circuit()
-    memories = [_flags_memory(lane) for lane in range(2)]
-    engine = create_engine(c, backend="codegen", lanes=2, memories=memories)
-    assert engine.data_plane == "tuple"
-    # Asking for numpy explicitly under the escape hatch must fail
-    # loudly, not silently degrade.
-    from repro.errors import SimulationError
-    with pytest.raises(SimulationError):
-        create_engine(c, backend="codegen", lanes=2,
-                      memories=[_flags_memory(lane) for lane in range(2)],
-                      data_plane="numpy")
+# provenance
 
 
 def test_data_plane_provenance_on_runs():
@@ -467,4 +387,4 @@ def test_data_plane_provenance_on_runs():
     assert scalar.data_plane == "scalar"
     batch = simulate_kernel_batch(lowered, seeds=[100, 101],
                                   backend="codegen")
-    assert {r.data_plane for r in batch} == {"numpy"}
+    assert {r.data_plane for r in batch} == {"tuple"}
