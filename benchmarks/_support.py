@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.frontend.kernels import KERNEL_NAMES
+from repro.frontend.kernels import PAPER_KERNELS
 from repro.pipeline import TechniqueResult
 from repro.reporting import render_table, write_csv
 from repro.sweep import ResultCache, SweepJob, execute_job, run_sweep
@@ -75,7 +75,7 @@ def get_row(kernel: str, technique: str, style: str = "bb",
 def table_rows(style: str, techniques, scale: str = "paper") -> List[TechniqueResult]:
     jobs = [
         SweepJob(kernel=kernel, technique=tech, style=style, scale=scale)
-        for kernel in KERNEL_NAMES
+        for kernel in PAPER_KERNELS
         for tech in techniques
     ]
     fresh = [

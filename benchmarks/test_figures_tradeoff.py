@@ -11,7 +11,7 @@ import statistics
 
 import pytest
 
-from repro.frontend.kernels import KERNEL_NAMES
+from repro.frontend.kernels import PAPER_KERNELS
 from repro.reporting import Series, ascii_scatter, series_csv, write_csv
 
 from _support import get_row, results_path
@@ -19,7 +19,7 @@ from _support import get_row, results_path
 
 def tradeoff_series(style, base_tech, metric):
     s = Series("CRUSH")
-    for k in KERNEL_NAMES:
+    for k in PAPER_KERNELS:
         base = get_row(k, base_tech, style=style)
         ours = get_row(k, "crush", style=style)
         if getattr(base, metric) == 0 or base.exec_time_us == 0:

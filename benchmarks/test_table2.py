@@ -18,7 +18,7 @@ import pytest
 from repro.analysis import critical_cfcs, place_buffers
 from repro.core import crush
 from repro.frontend import lower_kernel
-from repro.frontend.kernels import KERNEL_NAMES, build
+from repro.frontend.kernels import PAPER_KERNELS, build
 
 from _support import emit_table, get_row, improvement_summary, results_path, table_rows
 
@@ -67,7 +67,7 @@ class TestTable2Shapes:
 
     def test_crush_shares_everything_on_every_kernel(self, benchmark):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        for k in KERNEL_NAMES:
+        for k in PAPER_KERNELS:
             assert self.by[(k, "crush")].dsp == 5, k
             assert self.by[(k, "crush")].fu_census == "1 fadd 1 fmul", k
 
@@ -81,21 +81,21 @@ class TestTable2Shapes:
 
     def test_cycle_overhead_is_small(self, benchmark):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        for k in KERNEL_NAMES:
+        for k in PAPER_KERNELS:
             naive = self.by[(k, "naive")].cycles
             shared = self.by[(k, "crush")].cycles
             assert shared <= naive * 1.12, (k, naive, shared)
 
     def test_opt_time_far_below_inorder(self, benchmark):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        total_inorder = sum(self.by[(k, "inorder")].opt_time_s for k in KERNEL_NAMES)
-        total_crush = sum(self.by[(k, "crush")].opt_time_s for k in KERNEL_NAMES)
+        total_inorder = sum(self.by[(k, "inorder")].opt_time_s for k in PAPER_KERNELS)
+        total_crush = sum(self.by[(k, "crush")].opt_time_s for k in PAPER_KERNELS)
         assert total_crush < total_inorder * 0.35  # paper: -90% on average
 
     def test_dsp_reduction_vs_naive_matches_paper_scale(self, benchmark):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         red = improvement_summary(
-            [self.by[(k, t)] for k in KERNEL_NAMES for t in ("naive", "crush")],
+            [self.by[(k, t)] for k in PAPER_KERNELS for t in ("naive", "crush")],
             "naive", "crush",
         )["dsp"]
         # Paper: -66% average DSP reduction vs Naive.

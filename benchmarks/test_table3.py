@@ -10,7 +10,7 @@ or below the BB-style ones.
 
 import pytest
 
-from repro.frontend.kernels import KERNEL_NAMES
+from repro.frontend.kernels import PAPER_KERNELS
 
 from _support import emit_table, get_row, improvement_summary, results_path, table_rows
 
@@ -60,13 +60,13 @@ class TestTable3Shapes:
 
     def test_crush_unmodified_shares_everything(self, benchmark):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        for k in KERNEL_NAMES:
+        for k in PAPER_KERNELS:
             assert self.by[(k, "crush")].dsp == 5, k
 
     def test_dsp_reduction_matches_bb_results(self, benchmark):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         red = improvement_summary(
-            [self.by[(k, t)] for k in KERNEL_NAMES for t in TECHS],
+            [self.by[(k, t)] for k in PAPER_KERNELS for t in TECHS],
             "naive", "crush",
         )["dsp"]
         assert red <= -55.0  # paper: -66%
@@ -74,7 +74,7 @@ class TestTable3Shapes:
     def test_fast_token_cycles_not_above_bb(self, benchmark):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         worse = 0
-        for k in KERNEL_NAMES:
+        for k in PAPER_KERNELS:
             bb = get_row(k, "naive", style="bb").cycles
             ft = self.by[(k, "naive")].cycles
             if ft > bb * 1.02:
@@ -84,7 +84,7 @@ class TestTable3Shapes:
 
     def test_exec_time_roughly_preserved(self, benchmark):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        for k in KERNEL_NAMES:
+        for k in PAPER_KERNELS:
             naive = self.by[(k, "naive")].cycles
             shared = self.by[(k, "crush")].cycles
             assert shared <= naive * 1.12, k

@@ -188,27 +188,41 @@ def _positive_cycle(
     restricts the search to edges with zero tokens (structural-deadlock
     pre-check).  Predecessors remember the exact relaxed edge so parallel
     edges between the same node pair are attributed correctly.
+
+    The relaxation runs in plain integers.  With ``lam = p/q`` (``q > 0``)
+    every edge weight is scaled by ``q`` to ``q*latency - p*tokens``;
+    starting from all-zero distances, each scaled distance is exactly
+    ``q`` times the rational one, so every ``nd > dist[v]`` comparison —
+    and with it the visiting order, the relaxations and the returned
+    cycle — is the same as relaxing ``latency - lam*tokens`` exactly.
     """
     n = len(adj)
-    dist = [Fraction(0)] * n
+    p, q = lam.numerator, lam.denominator
+    # Per-lam weights, each with the predecessor record its relaxation
+    # stores: (v, q*lat - p*tok, (u, lat, tok)).
+    wadj = [
+        [
+            (v, q * lat - p * tok, (u, lat, tok))
+            for (v, lat, tok) in out
+            if not (tokenless_only and tok)
+        ]
+        for u, out in enumerate(adj)
+    ]
+    dist = [0] * n
     pred: List[Optional[Tuple[int, int, int]]] = [None] * n  # (u, lat, tok)
     counts = [0] * n
     in_queue = [True] * n
     queue = list(range(n))
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
+    limit = 16 * n * n + 64  # safety valve; should be unreachable
+    # The queue grows while it is walked; ``head`` counts dequeues.
+    for head, u in enumerate(queue, 1):
         in_queue[u] = False
         du = dist[u]
-        for (v, lat, tok) in adj[u]:
-            if tokenless_only and tok != 0:
-                continue
-            w = Fraction(lat) - lam * tok
+        for (v, w, step) in wadj[u]:
             nd = du + w
             if nd > dist[v]:
                 dist[v] = nd
-                pred[v] = (u, lat, tok)
+                pred[v] = step
                 counts[v] += 1
                 if counts[v] > n:
                     found = _extract_cycle(pred, v)
@@ -221,7 +235,7 @@ def _positive_cycle(
                 if not in_queue[v]:
                     in_queue[v] = True
                     queue.append(v)
-        if head > 16 * n * n + 64:  # safety valve; should be unreachable
+        if head > limit:
             raise AnalysisError("positive-cycle search did not terminate")
     return None
 

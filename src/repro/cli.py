@@ -360,6 +360,7 @@ def _cmd_lint(args) -> int:
         if args.golden_dir:
             expected = _golden_expected_ii(args.golden_dir, kn, tech)
         report = lint_prepared(prep, config=config, expected_ii=expected)
+        report.context = None  # keep the findings, not every circuit
         reports.append((kn, tech, report))
         # Exit codes order by badness: 0 clean < 3 warnings < 4 errors.
         worst = max(worst, report.exit_code(strict=args.strict))

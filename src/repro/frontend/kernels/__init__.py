@@ -76,6 +76,11 @@ KERNEL_NAMES: List[str] = [
     "pointer_chase",
 ]
 
+#: The paper's own suite, in its Table 2 order: everything above except
+#: the irregular kernels.  The paper-shape benches (Tables 2/3, Figures
+#: 7/8/11) average over exactly these rows.
+PAPER_KERNELS: List[str] = KERNEL_NAMES[:11]
+
 #: Miniature sizes for unit/integration tests (seconds, not minutes).
 SMALL_SIZES: Dict[str, Dict[str, int]] = {
     "atax": {"N": 4, "M": 4},

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+
+if TYPE_CHECKING:
+    from .registry import LintContext
 
 #: Allowed severities, mildest first.
 SEVERITIES = ("info", "warning", "error")
@@ -97,6 +100,13 @@ class LintReport:
 
     circuit: str
     diagnostics: List[Diagnostic] = field(default_factory=list)
+    #: The :class:`~repro.lint.registry.LintContext` the rules ran over
+    #: (``None`` for hand-built reports).  Callers read its cached
+    #: token-flow and memory-dependence analyses instead of recomputing
+    #: them.  Neither serialized nor compared.
+    context: Optional["LintContext"] = field(
+        default=None, repr=False, compare=False
+    )
 
     def add(self, diag: Diagnostic) -> None:
         self.diagnostics.append(diag)

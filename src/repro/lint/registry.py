@@ -236,7 +236,10 @@ def run_lint(
     the static prediction is regression-checked against (rule FL005);
     ``kernel`` the kernel IR the circuit was lowered from (enables the
     ``MD`` memory-dependence rules, which need source subscripts).
-    Internal rule faults are re-raised as
+    The report's ``context`` keeps the analyses the rules cached, so a
+    caller that also wants the token-flow prediction or the memory
+    class reads ``report.context.flow`` / ``.memdep`` instead of
+    re-running them.  Internal rule faults are re-raised as
     :class:`~repro.errors.LintError` — a rule never fails silently and
     never trips a bare assert.
     """
@@ -255,7 +258,7 @@ def run_lint(
         circuit, decisions=decisions, cfcs=cfcs, expected_ii=expected_ii,
         kernel=kernel,
     )
-    report = LintReport(circuit=circuit.name)
+    report = LintReport(circuit=circuit.name, context=ctx)
     for code in sorted(RULES):
         r = RULES[code]
         severity = config.severity_of(r)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .analysis import critical_cfcs, insert_timing_buffers, place_buffers
 from .baselines import inorder_share, naive_share
@@ -290,18 +290,6 @@ def predict_ii(prep: PreparedRun):
     )
 
 
-def _flow_columns(prep: PreparedRun, report) -> "tuple[str, int]":
-    """The (predicted_ii, flow_diags) provenance pair for a result row."""
-    analysis = predict_ii(prep)
-    predicted = "" if analysis.ii is None else str(analysis.ii)
-    flow_diags = 0
-    if report is not None:
-        flow_diags = sum(
-            1 for d in report.diagnostics if d.code.startswith("FL")
-        )
-    return predicted, flow_diags
-
-
 def analyze_memdep(prep: PreparedRun):
     """Static memory-dependence analysis of a prepared run's kernel.
 
@@ -314,15 +302,48 @@ def analyze_memdep(prep: PreparedRun):
     return analyze_kernel(prep.lowered.kernel)
 
 
-def _memdep_columns(prep: PreparedRun, report) -> "tuple[str, int]":
-    """The (mem_class, memdep_diags) provenance pair for a result row."""
-    mem_class = analyze_memdep(prep).mem_class
-    memdep_diags = 0
-    if report is not None:
-        memdep_diags = sum(
-            1 for d in report.diagnostics if d.code.startswith("MD")
+def _prepare_and_analyze(
+    kernel_name: str,
+    technique: str,
+    style: str,
+    scale: str,
+    lint: str,
+    size_overrides: Dict[str, int],
+) -> Tuple[PreparedRun, Dict[str, Any]]:
+    """The static half of a row: prepare the circuit, run the lint gate,
+    and collect the lint, token-flow and memory-dependence columns.
+
+    With the gate on, ``predicted_ii`` and ``mem_class`` come from the
+    analyses the lint run cached (same ``cfcs``, ``decisions`` and
+    kernel), so each prepared circuit is analysed once; only
+    ``lint="off"`` calls the analyzers directly.
+    """
+    if lint not in LINT_MODES:
+        raise ReproError(f"unknown lint mode {lint!r}; use {LINT_MODES}")
+    prep = prepare_circuit(
+        kernel_name, technique, style=style, scale=scale, **size_overrides
+    )
+    columns: Dict[str, Any] = {}
+    if lint == "off":
+        flow, memdep = predict_ii(prep), analyze_memdep(prep)
+    else:
+        from .lint import raise_on_errors
+
+        report = lint_prepared(prep)
+        raise_on_errors(report, strict=(lint == "strict"))
+        flow, memdep = report.context.flow, report.context.memdep
+        families = [d.code[:2] for d in report.diagnostics]
+        columns.update(
+            lint_errors=len(report.errors),
+            lint_warnings=len(report.warnings),
+            flow_diags=families.count("FL"),
+            memdep_diags=families.count("MD"),
         )
-    return mem_class, memdep_diags
+    columns.update(
+        predicted_ii="" if flow.ii is None else str(flow.ii),
+        mem_class=memdep.mem_class,
+    )
+    return prep, columns
 
 
 def run_technique(
@@ -358,25 +379,9 @@ def run_technique(
     ``seed`` selects the input data set (``cycles`` depends on it for
     data-dependent kernels); it is recorded in the result.
     """
-    if lint not in LINT_MODES:
-        raise ReproError(f"unknown lint mode {lint!r}; use {LINT_MODES}")
-    prep = prepare_circuit(
-        kernel_name, technique, style=style, scale=scale, **size_overrides
+    prep, columns = _prepare_and_analyze(
+        kernel_name, technique, style, scale, lint, size_overrides
     )
-    circuit = prep.circuit
-
-    lint_errors = lint_warnings = 0
-    report = None
-    if lint != "off":
-        from .lint import raise_on_errors
-
-        report = lint_prepared(prep)
-        lint_errors = len(report.errors)
-        lint_warnings = len(report.warnings)
-        raise_on_errors(report, strict=(lint == "strict"))
-    predicted_ii, flow_diags = _flow_columns(prep, report)
-    mem_class, memdep_diags = _memdep_columns(prep, report)
-
     run = None
     if simulate:
         run = simulate_kernel(
@@ -387,17 +392,8 @@ def run_technique(
             seed=seed,
         )
 
-    est = estimate_circuit(circuit)
-    return _result_row(
-        prep, est, run, seed,
-        sim_backend=sim_backend,
-        lint_errors=lint_errors,
-        lint_warnings=lint_warnings,
-        predicted_ii=predicted_ii,
-        flow_diags=flow_diags,
-        mem_class=mem_class,
-        memdep_diags=memdep_diags,
-    )
+    est = estimate_circuit(prep.circuit)
+    return _result_row(prep, est, run, seed, sim_backend, columns)
 
 
 def _result_row(
@@ -406,14 +402,10 @@ def _result_row(
     run: Optional[KernelRun],
     seed: int,
     sim_backend: Optional[str],
-    lint_errors: int,
-    lint_warnings: int,
-    predicted_ii: str = "",
-    flow_diags: int = 0,
-    mem_class: str = "",
-    memdep_diags: int = 0,
+    columns: Dict[str, Any],
 ) -> TechniqueResult:
-    """Assemble one table row from a prepared circuit and its simulation
+    """Assemble one table row from a prepared circuit, its static
+    ``columns`` (:func:`_prepare_and_analyze`) and its simulation
     (``None`` when simulation was skipped: zero cycles, no provenance)."""
     cycles = run.cycles if run is not None else 0
     provenance: Dict[str, Any] = {}
@@ -440,13 +432,8 @@ def _result_row(
         groups=prep.groups,
         estimate=est,
         sim_backend=sim_backend or DEFAULT_BACKEND,
-        lint_errors=lint_errors,
-        lint_warnings=lint_warnings,
         seed=seed,
-        predicted_ii=predicted_ii,
-        flow_diags=flow_diags,
-        mem_class=mem_class,
-        memdep_diags=memdep_diags,
+        **columns,
         **provenance,
     )
 
@@ -475,41 +462,17 @@ def run_technique_batch(
     Observers (``sanitize``) are scalar-only and deliberately not
     offered here.
     """
-    if lint not in LINT_MODES:
-        raise ReproError(f"unknown lint mode {lint!r}; use {LINT_MODES}")
     if not seeds:
         raise ReproError("run_technique_batch needs at least one seed")
-    prep = prepare_circuit(
-        kernel_name, technique, style=style, scale=scale, **size_overrides
+    prep, columns = _prepare_and_analyze(
+        kernel_name, technique, style, scale, lint, size_overrides
     )
-
-    lint_errors = lint_warnings = 0
-    report = None
-    if lint != "off":
-        from .lint import raise_on_errors
-
-        report = lint_prepared(prep)
-        lint_errors = len(report.errors)
-        lint_warnings = len(report.warnings)
-        raise_on_errors(report, strict=(lint == "strict"))
-    predicted_ii, flow_diags = _flow_columns(prep, report)
-    mem_class, memdep_diags = _memdep_columns(prep, report)
-
     runs = simulate_kernel_batch(
         prep.lowered, seeds, max_cycles=max_cycles, backend=sim_backend,
     )
 
     est = estimate_circuit(prep.circuit)
     return [
-        _result_row(
-            prep, est, run, seed,
-            sim_backend=sim_backend,
-            lint_errors=lint_errors,
-            lint_warnings=lint_warnings,
-            predicted_ii=predicted_ii,
-            flow_diags=flow_diags,
-            mem_class=mem_class,
-            memdep_diags=memdep_diags,
-        )
+        _result_row(prep, est, run, seed, sim_backend, columns)
         for seed, run in zip(seeds, runs)
     ]

@@ -11,6 +11,8 @@ from repro.analysis import (
     find_tokenless_cycle,
     max_cycle_ratio,
 )
+from repro.analysis import throughput
+from repro.analysis.throughput import _adjacency, _extract_cycle, _positive_cycle
 from repro.errors import AnalysisError
 
 
@@ -291,5 +293,96 @@ class TestLawlerNeverUnderestimates:
                 if got.critical_cycle:
                     lat, tok = cycle_metrics(edges, got.critical_cycle)
                     assert tok > 0 and Fraction(lat, tok) == got.ii
+
+        check()
+
+
+def _fraction_positive_cycle(adj, lam, tokenless_only=False):
+    """Reference for :func:`_positive_cycle`: the same queue-based
+    Bellman-Ford, relaxing ``latency - lam*tokens`` in exact ``Fraction``
+    arithmetic.  The integer kernel must reproduce it step for step."""
+    n = len(adj)
+    dist = [Fraction(0)] * n
+    pred = [None] * n
+    counts = [0] * n
+    in_queue = [True] * n
+    queue = list(range(n))
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        in_queue[u] = False
+        du = dist[u]
+        for (v, lat, tok) in adj[u]:
+            if tokenless_only and tok != 0:
+                continue
+            nd = du + (Fraction(lat) - lam * tok)
+            if nd > dist[v]:
+                dist[v] = nd
+                pred[v] = (u, lat, tok)
+                counts[v] += 1
+                if counts[v] > n:
+                    found = _extract_cycle(pred, v)
+                    if found is not None:
+                        return found
+                    counts[v] = 0
+                if not in_queue[v]:
+                    in_queue[v] = True
+                    queue.append(v)
+        if head > 16 * n * n + 64:
+            raise AnalysisError("positive-cycle search did not terminate")
+    return None
+
+
+def _outcome(fn, *args):
+    """A call's return value, or the message of the AnalysisError it
+    raised, so raising and returning can be compared alike."""
+    try:
+        return fn(*args)
+    except AnalysisError as exc:
+        return ("AnalysisError", str(exc))
+
+
+class TestIntegerKernelMatchesFractionReference:
+    """Property: scaling every weight by lam's denominator turns the
+    rational relaxation into an integer one without changing a single
+    comparison, so the search returns the identical ``(cycle, lat, tok)``
+    and ``max_cycle_ratio`` the identical II and critical cycle."""
+
+    def test_hypothesis_random_multigraphs(self):
+        pytest.importorskip("hypothesis")
+        from unittest import mock
+
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        # Parallel edges, self-loops (a == b) and zero-token edges all
+        # occur: nodes are drawn from a small range, tokens from 0 up.
+        edge = st.tuples(
+            st.integers(0, 5), st.integers(0, 5),
+            st.integers(0, 9), st.integers(0, 3),
+        )
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            st.lists(edge, min_size=0, max_size=14),
+            st.integers(-6, 40),
+            st.integers(1, 12),
+        )
+        def check(raw, a, b):
+            edges = [E(u, v, lat, tok) for u, v, lat, tok in raw]
+            _, adj = _adjacency(edges)
+            lam = Fraction(a, b)
+            for args in ((lam, False), (lam, True), (Fraction(0), True)):
+                assert _outcome(_positive_cycle, adj, *args) == _outcome(
+                    _fraction_positive_cycle, adj, *args
+                )
+
+            with mock.patch.object(
+                throughput, "_positive_cycle", _fraction_positive_cycle
+            ):
+                want = _outcome(max_cycle_ratio, edges)
+            # IIResult equality compares ``ii`` and ``critical_cycle``.
+            assert _outcome(max_cycle_ratio, edges) == want
 
         check()

@@ -1,9 +1,18 @@
 """The end-to-end pipeline API (one Table-2/3 row per call)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ReproError
-from repro.pipeline import TECHNIQUES, run_technique
+from repro.pipeline import (
+    TECHNIQUES,
+    analyze_memdep,
+    predict_ii,
+    prepare_circuit,
+    run_technique,
+    run_technique_batch,
+)
 
 
 class TestRunTechnique:
@@ -48,3 +57,55 @@ class TestRunTechnique:
 
     def test_all_techniques_listed(self):
         assert TECHNIQUES == ("naive", "inorder", "crush")
+
+
+class TestOneAnalysisPerRow:
+    """A row runs token-flow and memory-dependence analysis once per
+    prepared circuit: with the lint gate on, the row's ``predicted_ii``
+    and ``mem_class`` come from the analyses the lint run cached."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.analysis as analysis
+        from repro.analysis import memdep, tokenflow
+
+        counts = Counter()
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        # Every name the pipeline and the lint context look them up by.
+        monkeypatch.setattr(tokenflow, "analyze_circuit",
+                            counting("flow", tokenflow.analyze_circuit))
+        monkeypatch.setattr(analysis, "analyze_circuit",
+                            counting("flow", analysis.analyze_circuit))
+        monkeypatch.setattr(memdep, "analyze_kernel",
+                            counting("memdep", memdep.analyze_kernel))
+        return counts
+
+    @staticmethod
+    def direct_columns(kernel, technique):
+        prep = prepare_circuit(kernel, technique, scale="small")
+        ii = predict_ii(prep).ii
+        return ("" if ii is None else str(ii)), analyze_memdep(prep).mem_class
+
+    @pytest.mark.parametrize("lint", ["warn", "off"])
+    def test_run_technique(self, calls, lint):
+        row = run_technique(
+            "gsumif", "crush", scale="small", simulate=False, lint=lint
+        )
+        assert calls == {"flow": 1, "memdep": 1}
+        assert row.predicted_ii
+        assert (row.predicted_ii, row.mem_class) == self.direct_columns(
+            "gsumif", "crush"
+        )
+
+    def test_run_technique_batch(self, calls):
+        rows = run_technique_batch("atax", "inorder", [7, 11], scale="small")
+        assert calls == {"flow": 1, "memdep": 1}
+        want = self.direct_columns("atax", "inorder")
+        assert [(r.predicted_ii, r.mem_class) for r in rows] == [want] * 2
