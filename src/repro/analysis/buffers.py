@@ -24,10 +24,8 @@ reduction).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit import (
     Channel,
@@ -110,71 +108,14 @@ def _splice(circuit: DataflowCircuit, ch: Channel, unit: Unit) -> None:
 
 
 def slack_match_cfc(
-    circuit: DataflowCircuit, cfc: CFC, method: str = "lp"
+    circuit: DataflowCircuit, cfc: CFC
 ) -> List[Tuple[str, int]]:
     """Place transparent FIFOs on early channels of reconvergent paths.
 
-    ``method="lp"`` sizes slack with the LP formulation (the MILP analog,
-    :mod:`repro.analysis.lp_sizing`); ``method="heuristic"`` uses the
-    arrival-time DP.  Both place :class:`TransparentFifo` capacity worth
-    ``ceil(slack / II) + 1`` tokens on imbalanced channels.
+    Slack is sized with the LP formulation (the MILP analog,
+    :mod:`repro.analysis.lp_sizing`); every imbalanced channel gets a
+    :class:`TransparentFifo` worth ``ceil(slack / II) + 1`` tokens.
     """
-    if method == "lp":
-        return _slack_match_lp(circuit, cfc)
-    if method != "heuristic":
-        raise AnalysisError(f"unknown slack-matching method {method!r}")
-    ii = cfc.ii().ii
-    if ii <= 0:
-        ii = Fraction(1)
-    units = circuit.units
-    internal = [
-        ch
-        for ch in cfc.internal_channels()
-        if not ch.attrs.get("tokens", 0)
-    ]
-    # Longest arrival time over the backedge-free DAG.
-    succ: Dict[str, List[Tuple[str, Channel]]] = {n: [] for n in cfc.unit_names}
-    indeg: Dict[str, int] = {n: 0 for n in cfc.unit_names}
-    for ch in internal:
-        succ[ch.src.unit].append((ch.dst.unit, ch))
-        indeg[ch.dst.unit] += 1
-    arrival: Dict[str, int] = {n: 0 for n in cfc.unit_names}
-    frontier = [n for n, d in indeg.items() if d == 0]
-    topo: List[str] = []
-    while frontier:
-        n = frontier.pop()
-        topo.append(n)
-        for (m, _) in succ[n]:
-            arrival[m] = max(arrival[m], arrival[n] + units[n].latency)
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                frontier.append(m)
-    if len(topo) != len(cfc.unit_names):
-        # Backedge annotations incomplete; fall back to no slack matching
-        # rather than mis-sizing (the simulator's II then reveals the gap).
-        return []
-    placed: List[Tuple[str, int]] = []
-    for ch in internal:
-        src_u = units[ch.src.unit]
-        slack = arrival[ch.dst.unit] - (arrival[ch.src.unit] + src_u.latency)
-        if slack <= 0:
-            continue
-        if isinstance(src_u, (TransparentFifo, ElasticBuffer)):
-            continue
-        slots = max(1, math.ceil(Fraction(slack) / ii)) + 1
-        fifo = circuit.add(
-            TransparentFifo(circuit.fresh_name("slackbuf"), slots=slots)
-        )
-        fifo.meta["slack"] = slack
-        _splice(circuit, ch, fifo)
-        placed.append((fifo.name, slots))
-    if placed:
-        cfc.unit_names.update(name for name, _ in placed)
-        cfc.invalidate()
-    return placed
-
-
-def _slack_match_lp(circuit: DataflowCircuit, cfc: CFC) -> List[Tuple[str, int]]:
     from .lp_sizing import sized_slots, slack_lp
 
     ii = cfc.ii().ii
@@ -207,7 +148,6 @@ def place_buffers(
     circuit: DataflowCircuit,
     cfcs: Optional[Sequence[CFC]] = None,
     timing: bool = True,
-    method: str = "lp",
 ) -> BufferReport:
     """Run the full buffer placement pass; returns what was inserted.
 
@@ -232,6 +172,6 @@ def place_buffers(
             if str(u.meta.get("cfc")) == cfc.name
         )
         cfc.invalidate()
-        report.slack_fifos.extend(slack_match_cfc(circuit, cfc, method=method))
+        report.slack_fifos.extend(slack_match_cfc(circuit, cfc))
     circuit.validate()
     return report

@@ -111,18 +111,13 @@ def _cmd_run(args) -> int:
                       f"{row.exec_time_us} us (verified against reference)")
         # One head row per batch carries that batch's divergence
         # provenance (every row of a batch shares it).
-        heads = [rows[0] for rows in batches]
-        fell_back = [h for h in heads if h.fallback_lanes]
-        promoted = [h for h in heads if h.mask_promotions]
-        if fell_back:
-            total = sum(h.fallback_lanes for h in fell_back)
-            line = (f"scalar fallback in {len(fell_back)}/{n_b} batch(es) "
-                    f"({total} lane(s) re-ran on a scalar engine)")
+        promoted = [rows[0] for rows in batches if rows[0].mask_promotions]
+        if head.data_plane == "scalar":
+            line = "seed by seed (the event backend has no lane loop)"
         elif promoted:
             sites = sorted({h.divergence for h in promoted if h.divergence})
             line = (f"mask-lanes in {len(promoted)}/{n_b} batch(es) "
-                    f"(diverged on {', '.join(sites)}; "
-                    f"0 scalar-fallback lanes)")
+                    f"(diverged on {', '.join(sites)})")
         else:
             line = "lockstep (no control divergence)"
         print(f"execution   : {line}")
@@ -136,7 +131,7 @@ def _cmd_run(args) -> int:
         simulate=not args.no_sim,
         sim_backend=args.sim_backend,
         lint=args.lint,
-        sanitize=args.sanitize,
+        sanitize=True if args.sanitize else None,
         seed=seeds[0],
     )
     print(f"kernel      : {row.kernel} [{row.style}, scale={args.scale}]")
@@ -287,7 +282,7 @@ def _cmd_profile(args) -> int:
             run = simulate_kernel(
                 lowered, max_cycles=args.max_cycles,
                 backend=backend, profile=prof,
-                sanitize=args.sanitize,
+                sanitize=True if args.sanitize else None,
             )
         except SimulationError as exc:
             # Unsupported backend/observer combination (e.g. profiling

@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import SimulationError
-from ..sim import Memory, SimProfile, Trace, create_engine
+from ..sim import DEFAULT_BACKEND, Memory, SimProfile, Trace, create_engine
+from ..sim.batched import refuse_observers
 from .interp import RefResult, run_reference
 from .ir import Kernel
 from .lower import LoweredKernel
@@ -32,17 +33,18 @@ class KernelRun:
     reference: RefResult
     sim_wall_s: float
     mismatches: Dict[str, float] = field(default_factory=dict)
-    #: Batched-run provenance (all zero/None on scalar runs and on
-    #: lockstep batches): lanes re-executed on a scalar engine after a
-    #: divergence, lockstep→mask-lane promotions performed, and the
-    #: diverging control site as ``"<channel>@<cycle>"``.
+    #: Always 0 — a lane batch never re-runs a lane on a scalar engine;
+    #: kept for tools that total it.
     fallback_lanes: int = 0
+    #: Batched-run provenance (0/None on scalar runs and on lockstep
+    #: batches): lockstep→mask-lane promotions performed, and the
+    #: diverging control site as ``"<channel>@<cycle>"``.
     mask_promotions: int = 0
     divergence: Optional[str] = None
     #: Which data representation executed the run: ``"scalar"`` for the
-    #: one-lane backends (and the event backend's per-lane batches),
-    #: ``"tuple"`` for the generated-loop batched engines.  Provenance
-    #: only — both are bit-identical by construction.
+    #: one-lane engines (event batches included, which run seed by
+    #: seed), ``"tuple"`` for the lane-parallel engine.  Provenance only
+    #: — both are bit-identical by construction.
     data_plane: str = "scalar"
 
 
@@ -159,24 +161,39 @@ def simulate_kernel_batch(
     backend: Optional[str] = None,
     sanitize: Optional[bool] = None,
 ) -> List[KernelRun]:
-    """Run one input set per seed through a single batched engine.
+    """Run one input set per seed, as the lanes of one batched simulation.
 
     Equivalent to ``[simulate_kernel(lowered, seed=s, ...) for s in seeds]``
     — same per-lane cycle counts, fire counts, memory contents and
-    reference checks, bit for bit — but the lane-parallel backends
-    (:mod:`repro.sim.batched`) evaluate all lanes in one generated-loop
-    pass, so the batch costs far less wall clock than ``len(seeds)``
-    scalar runs.
+    reference checks, bit for bit — but the lane-parallel engine
+    (:class:`~repro.sim.batched.BatchedEngine`, used for ``"compiled"``
+    and ``"codegen"``) evaluates all lanes in one generated-loop pass,
+    so the batch costs far less wall clock than ``len(seeds)`` scalar
+    runs.  The event backend has no generated loop: its batch is exactly
+    that list of scalar runs.
 
     ``sim_wall_s`` on every returned :class:`KernelRun` is the wall time
     of the *whole batch* (lanes do not run separately, so there is no
-    per-lane time to report).  Observers (trace/profile/sanitizer) are
+    per-lane time to report; an event batch reports the sum of its
+    seeds' simulation times).  Observers (trace/profile/sanitizer) are
     scalar-only; requesting them here raises :class:`SimulationError`.
     """
     kernel = lowered.kernel
     lanes = len(seeds)
     if lanes < 1:
         raise SimulationError("simulate_kernel_batch needs at least one seed")
+    backend = backend or DEFAULT_BACKEND
+    if backend == "event":
+        refuse_observers(sanitize=sanitize)
+        runs = [
+            simulate_kernel(lowered, check=check, max_cycles=max_cycles,
+                            seed=s, backend=backend, sanitize=False)
+            for s in seeds
+        ]
+        wall = sum(run.sim_wall_s for run in runs)
+        for run in runs:
+            run.sim_wall_s = wall
+        return runs
 
     references: List[RefResult] = []
     memories: List[Memory] = []
@@ -207,8 +224,7 @@ def simulate_kernel_batch(
     # together), so when the per-lane targets agree lane 0 speaks for
     # the whole batch.  Distinct targets mean the executions differ by
     # construction; the engine then checks every lane each cycle and
-    # promotes to mask-lane execution at the first partial completion
-    # (the event backend re-runs every lane scalar instead).
+    # promotes to mask-lane execution at the first partial completion.
     uniform = len(set(expected)) == 1
 
     t0 = time.perf_counter()
@@ -217,10 +233,8 @@ def simulate_kernel_batch(
     )
     wall = time.perf_counter() - t0
 
-    div = getattr(engine, "divergence", None)
+    div = engine.divergence
     div_site = f"{div.channel}@{div.cycle}" if div is not None else None
-    fallback_lanes = getattr(engine, "fallback_lanes", 0)
-    mask_promotions = getattr(engine, "mask_promotions", 0)
 
     runs: List[KernelRun] = []
     for lane, (memory, reference) in enumerate(zip(memories, references)):
@@ -248,8 +262,7 @@ def simulate_kernel_batch(
             arrays=arrays,
             reference=reference,
             sim_wall_s=wall,
-            fallback_lanes=fallback_lanes,
-            mask_promotions=mask_promotions,
+            mask_promotions=engine.mask_promotions,
             divergence=div_site,
             data_plane=engine.data_plane,
         ))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from .analysis import critical_cfcs, insert_timing_buffers, place_buffers
@@ -63,17 +63,15 @@ class TechniqueResult:
     #: for data-dependent kernels).  Part of the row's identity.
     seed: int = 7
     #: Batched-run provenance (zero/empty on scalar rows and lockstep
-    #: batches): lanes that re-ran on a scalar engine after a divergence,
-    #: lockstep→mask-lane promotions, and the diverging control site
-    #: (``"<channel>@<cycle>"``).  Not metrics — the numbers they
+    #: batches): lockstep→mask-lane promotions and the diverging control
+    #: site (``"<channel>@<cycle>"``).  Not metrics — the numbers they
     #: annotate are bit-identical either way.
-    fallback_lanes: int = 0
     mask_promotions: int = 0
     divergence: str = ""
     #: Data representation the simulation executed with: ``"scalar"``
-    #: for one-lane runs, ``"tuple"`` for rows from a generated-loop
-    #: batch (see :mod:`repro.sim.batched`).  Provenance, not a metric —
-    #: both are bit-identical.
+    #: for one-lane runs (event batches included), ``"tuple"`` for rows
+    #: from a lane-parallel batch (see :mod:`repro.sim.batched`).
+    #: Provenance, not a metric — both are bit-identical.
     data_plane: str = "scalar"
     #: Statically predicted steady-state II from the token-flow analyzer
     #: (:mod:`repro.analysis.tokenflow`), as an exact ``Fraction`` string
@@ -116,66 +114,30 @@ class TechniqueResult:
         return m
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kernel": self.kernel,
-            "technique": self.technique,
-            "style": self.style,
-            "fu_census": self.fu_census,
-            "dsp": self.dsp,
-            "slices": self.slices,
-            "lut": self.lut,
-            "ff": self.ff,
-            "cp_ns": self.cp_ns,
-            "cycles": self.cycles,
-            "exec_time_us": self.exec_time_us,
-            "opt_time_s": self.opt_time_s,
-            "groups": [list(g) for g in self.groups],
-            "estimate": self.estimate.to_dict() if self.estimate else None,
-            "sim_backend": self.sim_backend,
-            "lint_errors": self.lint_errors,
-            "lint_warnings": self.lint_warnings,
-            "seed": self.seed,
-            "fallback_lanes": self.fallback_lanes,
-            "mask_promotions": self.mask_promotions,
-            "divergence": self.divergence,
-            "data_plane": self.data_plane,
-            "predicted_ii": self.predicted_ii,
-            "flow_diags": self.flow_diags,
-            "mem_class": self.mem_class,
-            "memdep_diags": self.memdep_diags,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["groups"] = [list(g) for g in self.groups]
+        data["estimate"] = self.estimate.to_dict() if self.estimate else None
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TechniqueResult":
-        est = data.get("estimate")
-        return cls(
-            kernel=data["kernel"],
-            technique=data["technique"],
-            style=data["style"],
-            fu_census=data["fu_census"],
-            dsp=data["dsp"],
-            slices=data["slices"],
-            lut=data["lut"],
-            ff=data["ff"],
-            cp_ns=data["cp_ns"],
-            cycles=data["cycles"],
-            exec_time_us=data["exec_time_us"],
-            opt_time_s=data["opt_time_s"],
-            groups=[list(g) for g in data.get("groups", [])],
-            estimate=ResourceEstimate.from_dict(est) if est else None,
-            sim_backend=data.get("sim_backend", "compiled"),
-            lint_errors=data.get("lint_errors", 0),
-            lint_warnings=data.get("lint_warnings", 0),
-            seed=data.get("seed", 7),
-            fallback_lanes=data.get("fallback_lanes", 0),
-            mask_promotions=data.get("mask_promotions", 0),
-            divergence=data.get("divergence", ""),
-            data_plane=data.get("data_plane", "scalar"),
-            predicted_ii=data.get("predicted_ii", ""),
-            flow_diags=data.get("flow_diags", 0),
-            mem_class=data.get("mem_class", ""),
-            memdep_diags=data.get("memdep_diags", 0),
-        )
+        """Inverse of :meth:`to_dict`.
+
+        A missing key takes the field's default and an unknown key is
+        ignored, so rows written before a column was added (or after one
+        was dropped) still load; a missing required key raises
+        ``KeyError``.
+        """
+        row: Dict[str, Any] = {}
+        for f in fields(cls):
+            if f.name in data:
+                row[f.name] = data[f.name]
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise KeyError(f.name)
+        row["groups"] = [list(g) for g in row.get("groups", [])]
+        est = row.get("estimate")
+        row["estimate"] = ResourceEstimate.from_dict(est) if est else None
+        return cls(**row)
 
     def to_json(self, **dumps_kwargs: Any) -> str:
         """Lossless JSON serialization (finite floats round-trip exactly)."""
@@ -355,7 +317,7 @@ def run_technique(
     max_cycles: int = 4_000_000,
     sim_backend: Optional[str] = None,
     lint: str = "warn",
-    sanitize: bool = False,
+    sanitize: Optional[bool] = None,
     seed: int = 7,
     **size_overrides: int,
 ) -> TechniqueResult:
@@ -373,8 +335,9 @@ def run_technique(
     counts land in the result either way.
 
     ``sanitize`` turns on the runtime handshake-protocol sanitizer for
-    the simulation (see :mod:`repro.sim.sanitize`); it cannot change the
-    cycle count, only fail on latency-insensitive contract violations.
+    the simulation (see :mod:`repro.sim.sanitize`; None defers to
+    ``$REPRO_SIM_SANITIZE``); it cannot change the cycle count, only
+    fail on latency-insensitive contract violations.
 
     ``seed`` selects the input data set (``cycles`` depends on it for
     data-dependent kernels); it is recorded in the result.
@@ -411,7 +374,6 @@ def _result_row(
     provenance: Dict[str, Any] = {}
     if run is not None:
         provenance = dict(
-            fallback_lanes=run.fallback_lanes,
             mask_promotions=run.mask_promotions,
             divergence=run.divergence or "",
             data_plane=run.data_plane,
@@ -454,10 +416,10 @@ def run_technique_batch(
     Bit-identical to ``[run_technique(..., seed=s) for s in seeds]`` in
     every deterministic metric: the circuit is prepared, linted and
     estimated **once** (those steps do not depend on input data), and
-    the per-seed cycle counts come from one batched engine pass
-    (:func:`repro.frontend.simulate_kernel_batch`), which the batched
-    engines guarantee bit-identical to scalar runs.  ``opt_time_s`` is
-    the shared preparation's wall clock, identical across the rows.
+    the per-seed cycle counts come from one batched simulation
+    (:func:`repro.frontend.simulate_kernel_batch`), which is
+    bit-identical to scalar runs.  ``opt_time_s`` is the shared
+    preparation's wall clock, identical across the rows.
 
     Observers (``sanitize``) are scalar-only and deliberately not
     offered here.

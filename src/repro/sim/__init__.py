@@ -25,9 +25,11 @@ semantics:
 
 Select a backend with :func:`create_engine`, the ``--sim-backend`` CLI
 flag, or the ``REPRO_SIM_BACKEND`` environment variable.  With
-``lanes=B`` the same call returns the batched engine of that backend
-(:mod:`repro.sim.batched`), which runs ``B`` input sets per pass over
-lane tuples.
+``lanes=B`` the same call returns the one lane-parallel engine,
+:class:`~repro.sim.batched.BatchedEngine`, which runs ``B`` input sets
+per pass over lane tuples; it serves ``"compiled"`` and ``"codegen"``
+alike, and the event backend, which has no generated loop, refuses
+``lanes``.
 
 All backends accept ``sanitize=True`` (or ``REPRO_SIM_SANITIZE=1``) to
 run the opt-in handshake-protocol sanitizer
@@ -40,15 +42,7 @@ duplicated — with violations reported as ``repro.lint`` diagnostics.
 import os
 
 from ..errors import SimulationError
-from .batched import (
-    BATCHED_BACKENDS,
-    LANES_ENV,
-    BatchedCodegenEngine,
-    BatchedCompiledEngine,
-    BatchedEventEngine,
-    create_batched_engine,
-    lanes_default,
-)
+from .batched import LANES_ENV, BatchedEngine, lanes_default
 from .codegen import CodegenEngine
 from .compiled import CompiledEngine
 from .engine import DEFAULT_DEADLOCK_WINDOW, BaseEngine, Engine
@@ -78,29 +72,17 @@ def create_engine(circuit, backend=None, lanes=None, memories=None,
     (``memory``, ``trace``, ``deadlock_window``, ``profile``,
     ``sanitize``) are forwarded to the engine constructor.
 
-    ``lanes`` switches to the batched (lane-parallel) engine family
-    (:mod:`repro.sim.batched`): the returned engine evaluates ``lanes``
-    independent input sets per pass and exposes ``run_lanes`` /
-    ``sink_count`` / ``lane_fires`` instead of the scalar ``run``.
+    ``lanes`` returns the lane-parallel :class:`BatchedEngine` instead
+    (the same class for ``"compiled"`` and ``"codegen"``): it evaluates
+    ``lanes`` independent input sets per pass and exposes ``run_lanes``
+    / ``sink_count`` / ``lane_fires`` instead of the scalar ``run``.
     ``memories`` then supplies one :class:`Memory` per lane (instead of
-    the scalar ``memory=`` argument).
+    the scalar ``memory=`` argument).  The event backend has no
+    lane-parallel loop and raises;
+    :func:`repro.frontend.simulate_kernel_batch` runs an event batch
+    seed by seed.
     """
     name = backend or DEFAULT_BACKEND
-    if lanes is not None:
-        if kwargs.get("memory") is not None:
-            raise SimulationError(
-                "batched engines take one memory per lane via memories=[...],"
-                " not the scalar memory= argument"
-            )
-        kwargs.pop("memory", None)
-        return create_batched_engine(
-            circuit, name, lanes, memories=memories, **kwargs
-        )
-    if memories is not None:
-        raise SimulationError(
-            "memories= is only meaningful with lanes= (batched mode); "
-            "scalar engines take a single memory="
-        )
     try:
         cls = BACKENDS[name]
     except KeyError:
@@ -108,16 +90,32 @@ def create_engine(circuit, backend=None, lanes=None, memories=None,
             f"unknown simulation backend {name!r}; "
             f"choose from {sorted(BACKENDS)}"
         ) from None
+    if lanes is not None:
+        if name == "event":
+            raise SimulationError(
+                "the event backend has no lane-parallel loop: pick "
+                "backend 'compiled' or 'codegen' for lanes=, or let "
+                "simulate_kernel_batch run the event batch seed by seed"
+            )
+        if kwargs.get("memory") is not None:
+            raise SimulationError(
+                "batched engines take one memory per lane via memories=[...],"
+                " not the scalar memory= argument"
+            )
+        kwargs.pop("memory", None)
+        return BatchedEngine(circuit, lanes, memories=memories, **kwargs)
+    if memories is not None:
+        raise SimulationError(
+            "memories= is only meaningful with lanes= (batched mode); "
+            "scalar engines take a single memory="
+        )
     return cls(circuit, **kwargs)
 
 
 __all__ = [
     "BACKENDS",
-    "BATCHED_BACKENDS",
     "BaseEngine",
-    "BatchedCodegenEngine",
-    "BatchedCompiledEngine",
-    "BatchedEventEngine",
+    "BatchedEngine",
     "CodegenEngine",
     "CompiledEngine",
     "DEFAULT_BACKEND",
@@ -129,7 +127,6 @@ __all__ = [
     "SANITIZE_ENV",
     "SimProfile",
     "Trace",
-    "create_batched_engine",
     "create_engine",
     "lanes_default",
     "sanitize_default",

@@ -65,17 +65,5 @@ class Memory:
         """Snapshot an array's contents as a NumPy vector."""
         return np.array(self._cells(name), dtype=float)
 
-    def snapshot(self) -> Dict[str, List[float]]:
-        """Copy of every array's cells (batched engines snapshot initial
-        contents so per-lane re-execution can restart from scratch)."""
-        return {name: list(cells) for name, cells in self._arrays.items()}
-
-    def restore(self, snap: Dict[str, List[float]]) -> None:
-        """Restore cells from a :meth:`snapshot`; resets access counters."""
-        for name, cells in snap.items():
-            self._arrays[name][:] = cells
-        self.reads = 0
-        self.writes = 0
-
     def arrays(self) -> List[str]:
         return sorted(self._arrays)

@@ -21,9 +21,8 @@ CSV_HEADERS = [
     "cached", "dsp", "slices", "lut", "ff", "cp_ns", "cycles",
     "exec_time_us", "opt_time_s", "lint_errors", "lint_warnings",
     "predicted_ii", "flow_diags", "mem_class", "memdep_diags",
-    "sim_backend", "data_plane", "fallback_lanes", "mask_promotions",
-    "divergence", "fu_census", "error_type", "error", "wall_time_s",
-    "attempts",
+    "sim_backend", "data_plane", "mask_promotions", "divergence",
+    "fu_census", "error_type", "error", "wall_time_s", "attempts",
 ]
 
 
@@ -100,8 +99,7 @@ def record_csv_row(record: SweepRecord) -> List[Any]:
         metric("predicted_ii"), metric("flow_diags"),
         metric("mem_class"), metric("memdep_diags"),
         metric("sim_backend"), metric("data_plane"),
-        metric("fallback_lanes"), metric("mask_promotions"),
-        metric("divergence"),
+        metric("mask_promotions"), metric("divergence"),
         res.fu_census if res is not None else "",
         record.error_type or "", record.error or "",
         round(record.wall_time_s, 4), record.attempts,

@@ -6,14 +6,16 @@ count or completion order:
 
 * cache hits are answered from the persistent :class:`ResultCache`
   without spawning anything;
-* misses run either in-process (``workers=0``, the serial reference
-  path) or in dedicated child processes (``workers >= 1``) so that a
-  crashing or deadlocking configuration is *captured* — error type and
-  message preserved in a ``failed`` record — instead of taking the whole
-  sweep down;
-* each child is subject to a per-job wall-clock ``timeout`` and each
-  failing job is retried ``retries`` times before its failure is
-  recorded.
+* misses are grouped into *tasks* — one job, or with ``lanes=B`` up to
+  ``B`` jobs differing only in seed, simulated as the lanes of one
+  batch — and the tasks run either in-process (``workers=0``, the
+  serial reference path) or in dedicated child processes
+  (``workers >= 1``) so that a crashing or deadlocking configuration is
+  *captured* — error type and message preserved in a ``failed`` record
+  — instead of taking the whole sweep down;
+* each child is subject to a per-task wall-clock ``timeout``; a failing
+  batch re-queues its jobs as one-job tasks, and each failing one-job
+  task is retried ``retries`` times before its failure is recorded.
 
 Child processes prefer the ``fork`` start method (cheap on Linux, and
 lets tests inject worker functions that need not survive pickling);
@@ -28,7 +30,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..pipeline import TechniqueResult, run_technique, run_technique_batch
 from .cache import ResultCache
@@ -63,7 +65,8 @@ def execute_batch(jobs: List[SweepJob]) -> List[TechniqueResult]:
     One lane-parallel simulation replaces ``len(jobs)`` scalar pipeline
     runs; the returned rows are bit-identical to what
     :func:`execute_job` would produce per job (same preparation, same
-    per-seed cycle counts — guaranteed by the batched engines).
+    per-seed cycle counts — see
+    :func:`repro.frontend.simulate_kernel_batch`).
     """
     first = jobs[0]
     return run_technique_batch(
@@ -202,15 +205,12 @@ def run_sweep(
     the scalar path (full ``retries`` budget), so failure isolation is
     no coarser than without lanes.  Batching applies only with the
     default ``worker_fn`` — a custom worker has unknown semantics and
-    runs per job.  Per-job ``wall_time_s`` of a batch is the chunk's
-    wall clock divided evenly over its lanes when the chunk ran
-    lane-parallel, and proportionally to per-lane cycle counts when it
-    fell back to sequential scalar execution (see
-    :func:`_record_batch_ok`).
+    runs per job.  Per-job ``wall_time_s`` of a batch is the batch's
+    wall clock divided evenly over its jobs: they shared one pass.
     """
     t_start = time.perf_counter()
     records: Dict[int, SweepRecord] = {}
-    misses: List = []
+    misses: List[Tuple[int, SweepJob]] = []
 
     for index, job in enumerate(jobs):
         hit = cache.get(job) if cache is not None else None
@@ -225,24 +225,13 @@ def run_sweep(
         else:
             misses.append((index, job))
 
-    if misses and lanes and lanes > 1 and worker_fn is execute_job:
-        chunks, misses = _plan_batches(misses, lanes)
-        if chunks:
-            if workers <= 0:
-                leftover = _run_batches_serial(
-                    chunks, records, cache, on_record
-                )
-            else:
-                leftover = _run_batches_pool(
-                    chunks, workers, timeout, records, cache, on_record
-                )
-            misses = sorted(misses + leftover)
-
-    if misses and workers <= 0:
-        _run_serial(misses, worker_fn, retries, records, cache, on_record)
-    elif misses:
-        _run_pool(misses, workers, worker_fn, timeout, retries, records,
-                  cache, on_record)
+    width = lanes if lanes and worker_fn is execute_job else 1
+    queue = _Queue(_plan_tasks(misses, width), retries, records, cache,
+                   on_record)
+    if workers <= 0:
+        _run_serial(queue, worker_fn)
+    else:
+        _run_pool(queue, workers, worker_fn, timeout)
 
     return SweepOutcome(
         records=[records[i] for i in range(len(jobs))],
@@ -252,224 +241,123 @@ def run_sweep(
 
 
 # --------------------------------------------------------------------------
-# lane-parallel batches
+# tasks: one job, or the lanes of one batch
 
 
-def _plan_batches(misses: List, lanes: int):
-    """Split cache-misses into batchable chunks and scalar leftovers.
+#: A unit of execution: ``(index, job)`` pairs.  One job runs
+#: ``worker_fn``; several run as the lanes of :func:`execute_batch`.
+Task = List[Tuple[int, SweepJob]]
+
+
+def _plan_tasks(misses: List[Tuple[int, SweepJob]], lanes: int) -> List[Task]:
+    """Split cache misses into tasks of at most ``lanes`` jobs.
 
     Only simulating jobs batch (a ``simulate=False`` job has no per-seed
-    work to share), chunks never exceed ``lanes``, and a chunk of one is
-    pointless — it stays on the scalar path.
+    work to share), and only with jobs of the same ``batch_key``.
     """
-    groups: Dict[tuple, List] = {}
-    scalar: List = []
+    if lanes < 2:
+        return [[miss] for miss in misses]
+    tasks: List[Task] = []
+    groups: Dict[tuple, Task] = {}
     for index, job in misses:
         if job.simulate:
             groups.setdefault(job.batch_key(), []).append((index, job))
         else:
-            scalar.append((index, job))
-    chunks: List[List] = []
+            tasks.append([(index, job)])
     for members in groups.values():
-        for i in range(0, len(members), lanes):
-            chunk = members[i:i + lanes]
-            if len(chunk) > 1:
-                chunks.append(chunk)
-            else:
-                scalar.extend(chunk)
-    scalar.sort()
-    return chunks, scalar
-
-
-def _record_batch_ok(chunk: List, results: List[TechniqueResult],
-                     wall: float, records, cache, on_record) -> None:
-    """Record one OK row per batched job, splitting the chunk's wall clock.
-
-    A lane-parallel chunk is one simulation pass, so its wall clock is
-    shared evenly — every job cost ``wall / lanes``.  A chunk that fell
-    back to per-lane scalar execution (``fallback_lanes > 0`` — only the
-    event backend still does this) ran its lanes *sequentially*: an even
-    split would credit a long lane with a short lane's time and overstate
-    the batch's throughput, so the wall clock is split proportionally to
-    each lane's simulated cycles instead.
-    """
-    n = len(chunk)
-    if any(r.fallback_lanes for r in results):
-        total = sum(r.cycles for r in results)
-        walls = [
-            wall * r.cycles / total if total else wall / n for r in results
-        ]
-    else:
-        walls = [wall / n] * n
-    for (index, job), result, per in zip(chunk, results, walls):
-        _record_done(
-            SweepRecord(
-                job=job, status=STATUS_OK, result=result,
-                wall_time_s=per, attempts=1,
-            ),
-            index, records, cache, on_record,
+        tasks.extend(
+            members[i:i + lanes] for i in range(0, len(members), lanes)
         )
+    return tasks
 
 
-def _run_batches_serial(chunks: List, records, cache, on_record) -> List:
-    """In-process batch execution; returns jobs needing the scalar path."""
-    leftover: List = []
-    for chunk in chunks:
-        t0 = time.perf_counter()
-        try:
-            results = execute_batch([job for _, job in chunk])
-        except Exception:
-            # Any lane failing fails the whole batch; isolate by retrying
-            # every lane individually on the scalar path.
-            leftover.extend(chunk)
-            continue
-        _record_batch_ok(
-            chunk, results, time.perf_counter() - t0,
-            records, cache, on_record,
+def _execute(task: Task, worker_fn: Callable[[SweepJob], TechniqueResult]
+             ) -> List[TechniqueResult]:
+    """One job runs ``worker_fn``; several run as one lane batch."""
+    if len(task) == 1:
+        return [worker_fn(task[0][1])]
+    return execute_batch([job for _, job in task])
+
+
+class _Queue:
+    """The tasks still to run, and the records of the finished ones."""
+
+    def __init__(
+        self,
+        tasks: List[Task],
+        retries: int,
+        records: Dict[int, SweepRecord],
+        cache: Optional[ResultCache],
+        on_record: Optional[Callable[[SweepRecord], None]],
+    ) -> None:
+        #: Entries: (task, attempt, wall time spent by earlier attempts).
+        self.pending: Deque[Tuple[Task, int, float]] = deque(
+            (task, 1, 0.0) for task in tasks
         )
-    return leftover
+        self.retries = retries
+        self.records = records
+        self.cache = cache
+        self.on_record = on_record
 
+    def _record(self, index: int, record: SweepRecord) -> None:
+        if record.ok and record.result is not None and self.cache is not None:
+            self.cache.put(record.job, record.result)
+        self.records[index] = record
+        if self.on_record:
+            self.on_record(record)
 
-def _batch_child_entry(conn, jobs: List[SweepJob]) -> None:
-    try:
-        results = execute_batch(jobs)
-        conn.send(("ok", [r.to_dict() for r in results]))
-    except BaseException as exc:  # preserved, not propagated: isolation
-        conn.send((
-            "error",
-            type(exc).__name__,
-            str(exc),
-            traceback.format_exc(limit=10),
-        ))
-    finally:
-        conn.close()
+    def settle(
+        self,
+        task: Task,
+        attempt: int,
+        elapsed: float,
+        results: Optional[List[TechniqueResult]],
+        error: Optional[Tuple[str, str]],
+    ) -> None:
+        """Record a finished task's rows, or queue what must run again.
 
-
-def _run_batches_pool(chunks: List, workers: int,
-                      timeout: Optional[float], records, cache,
-                      on_record) -> List:
-    """Batch chunks over child processes; returns scalar-path leftovers.
-
-    A chunk that errors, times out, or crashes is *not* retried as a
-    batch — its jobs fall back to the scalar pool, which owns the retry
-    budget.  The per-chunk timeout equals the per-job timeout: a batch
-    is one simulation pass, not ``lanes`` sequential ones.
-    """
-    ctx = _mp_context()
-    pending = deque(chunks)
-    running: List[list] = []  # [chunk, proc, conn, started, deadline]
-    leftover: List = []
-
-    try:
-        while pending or running:
-            while pending and len(running) < workers:
-                chunk = pending.popleft()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_batch_child_entry,
-                    args=(child_conn, [job for _, job in chunk]),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                now = time.perf_counter()
-                running.append([
-                    chunk, proc, parent_conn, now,
-                    (now + timeout) if timeout is not None else None,
-                ])
-
-            poll = 0.5
-            now = time.perf_counter()
-            for st in running:
-                if st[4] is not None:
-                    poll = min(poll, max(st[4] - now, 0.0))
-            multiprocessing.connection.wait(
-                [st[1].sentinel for st in running], timeout=poll,
-            )
-
-            now = time.perf_counter()
-            still: List[list] = []
-            for st in running:
-                chunk, proc, conn, started, deadline = st
-                message = None
-                if conn.poll():
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                    proc.join()
-                elif deadline is not None and now >= deadline:
-                    _kill(proc)
-                elif proc.is_alive():
-                    still.append(st)
-                    continue
-                else:
-                    proc.join()
-                conn.close()
-                if message is not None and message[0] == "ok":
-                    _record_batch_ok(
-                        chunk,
-                        [TechniqueResult.from_dict(d) for d in message[1]],
-                        now - started, records, cache, on_record,
-                    )
-                else:
-                    leftover.extend(chunk)
-            running = still
-    finally:
-        for st in running:
-            _kill(st[1])
-            st[2].close()
-    return leftover
+        ``elapsed`` includes the wall time of the task's earlier
+        attempts.  A failed batch is not retried as a batch: its jobs go
+        back on the queue as one-job tasks, which own the retry budget.
+        A failed one-job task is retried first thing, up to ``retries``
+        times.
+        """
+        if results is not None:
+            for (index, job), result in zip(task, results):
+                self._record(index, SweepRecord(
+                    job=job, status=STATUS_OK, result=result,
+                    wall_time_s=elapsed / len(task), attempts=attempt,
+                ))
+        elif len(task) > 1:
+            self.pending.extend(([miss], 1, 0.0) for miss in task)
+        elif attempt <= self.retries:
+            self.pending.appendleft((task, attempt + 1, elapsed))
+        else:
+            (index, job), = task
+            error_type, message = error
+            self._record(index, SweepRecord(
+                job=job, status=STATUS_FAILED,
+                error_type=error_type, error=message,
+                wall_time_s=elapsed, attempts=attempt,
+            ))
 
 
 # --------------------------------------------------------------------------
 # serial path
 
 
-def _record_done(
-    record: SweepRecord,
-    index: int,
-    records: Dict[int, SweepRecord],
-    cache: Optional[ResultCache],
-    on_record: Optional[Callable[[SweepRecord], None]],
-) -> None:
-    if record.ok and record.result is not None and cache is not None:
-        cache.put(record.job, record.result)
-    records[index] = record
-    if on_record:
-        on_record(record)
-
-
-def _run_serial(
-    misses: List,
-    worker_fn: Callable[[SweepJob], TechniqueResult],
-    retries: int,
-    records: Dict[int, SweepRecord],
-    cache: Optional[ResultCache],
-    on_record: Optional[Callable[[SweepRecord], None]],
-) -> None:
-    for index, job in misses:
-        spent = 0.0
-        record = None
-        for attempt in range(1, retries + 2):
-            t0 = time.perf_counter()
-            try:
-                result = worker_fn(job)
-            except Exception as exc:
-                spent += time.perf_counter() - t0
-                record = SweepRecord(
-                    job=job, status=STATUS_FAILED,
-                    error_type=type(exc).__name__, error=str(exc),
-                    wall_time_s=spent, attempts=attempt,
-                )
-                continue
-            spent += time.perf_counter() - t0
-            record = SweepRecord(
-                job=job, status=STATUS_OK, result=result,
-                wall_time_s=spent, attempts=attempt,
-            )
-            break
-        _record_done(record, index, records, cache, on_record)
+def _run_serial(queue: _Queue,
+                worker_fn: Callable[[SweepJob], TechniqueResult]) -> None:
+    while queue.pending:
+        task, attempt, spent = queue.pending.popleft()
+        results, error = None, None
+        t0 = time.perf_counter()
+        try:
+            results = _execute(task, worker_fn)
+        except Exception as exc:
+            error = (type(exc).__name__, str(exc))
+        queue.settle(task, attempt, spent + time.perf_counter() - t0,
+                     results, error)
 
 
 # --------------------------------------------------------------------------
@@ -477,10 +365,10 @@ def _run_serial(
 
 
 def _child_entry(conn, worker_fn: Callable[[SweepJob], TechniqueResult],
-                 job: SweepJob) -> None:
+                 task: Task) -> None:
     try:
-        result = worker_fn(job)
-        conn.send(("ok", result.to_dict()))
+        results = _execute(task, worker_fn)
+        conn.send(("ok", [r.to_dict() for r in results]))
     except BaseException as exc:  # preserved, not propagated: isolation
         conn.send((
             "error",
@@ -501,8 +389,7 @@ def _mp_context():
 
 @dataclass
 class _Running:
-    index: int
-    job: SweepJob
+    task: Task
     process: Any
     conn: Any
     started: float
@@ -520,86 +407,56 @@ def _kill(proc) -> None:
             proc.join()
 
 
-def _reap(state: _Running, now: float,
-          timeout: Optional[float]) -> Optional[SweepRecord]:
-    """Inspect one running child; return its record once it is done."""
+def _reap(state: _Running, now: float, timeout: Optional[float]):
+    """Inspect one running child; once it is done, return
+    ``(results, error)`` — exactly one of them is None."""
     proc, conn = state.process, state.conn
-    elapsed = state.spent + (now - state.started)
-
     if conn.poll():
         try:
             message = conn.recv()
         except (EOFError, OSError):
             message = None
         proc.join()
-        if message is not None and message[0] == "ok":
-            return SweepRecord(
-                job=state.job, status=STATUS_OK,
-                result=TechniqueResult.from_dict(message[1]),
-                wall_time_s=elapsed, attempts=state.attempt,
-            )
-        if message is not None:
-            _, etype, emsg, _tb = message
-            return SweepRecord(
-                job=state.job, status=STATUS_FAILED,
-                error_type=etype, error=emsg,
-                wall_time_s=elapsed, attempts=state.attempt,
-            )
-        return SweepRecord(
-            job=state.job, status=STATUS_FAILED,
-            error_type="WorkerCrashed",
-            error="worker exited without reporting a result",
-            wall_time_s=elapsed, attempts=state.attempt,
-        )
+        if message is None:
+            return None, ("WorkerCrashed",
+                          "worker exited without reporting a result")
+        if message[0] == "ok":
+            return [TechniqueResult.from_dict(d) for d in message[1]], None
+        return None, (message[1], message[2])
 
     if state.deadline is not None and now >= state.deadline:
         _kill(proc)
-        return SweepRecord(
-            job=state.job, status=STATUS_FAILED,
-            error_type=SweepTimeoutError.__name__,
-            error=f"job exceeded the per-job timeout ({timeout}s)",
-            wall_time_s=elapsed, attempts=state.attempt,
-        )
+        return None, (SweepTimeoutError.__name__,
+                      f"job exceeded the per-job timeout ({timeout}s)")
 
     if not proc.is_alive():
         proc.join()
-        return SweepRecord(
-            job=state.job, status=STATUS_FAILED,
-            error_type="WorkerCrashed",
-            error=f"worker process died with exit code {proc.exitcode}",
-            wall_time_s=elapsed, attempts=state.attempt,
-        )
+        return None, ("WorkerCrashed",
+                      f"worker process died with exit code {proc.exitcode}")
     return None
 
 
 def _run_pool(
-    misses: List,
+    queue: _Queue,
     workers: int,
     worker_fn: Callable[[SweepJob], TechniqueResult],
     timeout: Optional[float],
-    retries: int,
-    records: Dict[int, SweepRecord],
-    cache: Optional[ResultCache],
-    on_record: Optional[Callable[[SweepRecord], None]],
 ) -> None:
     ctx = _mp_context()
-    # Queue entries: (index, job, attempt, wall time spent by earlier tries).
-    pending = deque((index, job, 1, 0.0) for index, job in misses)
+    pending = queue.pending
     running: List[_Running] = []
 
-    def spawn(index: int, job: SweepJob, attempt: int,
-              spent: float) -> _Running:
+    def spawn(task: Task, attempt: int, spent: float) -> _Running:
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
-            target=_child_entry, args=(child_conn, worker_fn, job),
+            target=_child_entry, args=(child_conn, worker_fn, task),
             daemon=True,
         )
         proc.start()
         child_conn.close()
         now = time.perf_counter()
         return _Running(
-            index=index, job=job, process=proc, conn=parent_conn,
-            started=now,
+            task=task, process=proc, conn=parent_conn, started=now,
             deadline=(now + timeout) if timeout is not None else None,
             attempt=attempt, spent=spent,
         )
@@ -622,20 +479,13 @@ def _run_pool(
             now = time.perf_counter()
             still_running: List[_Running] = []
             for st in running:
-                record = _reap(st, now, timeout)
-                if record is None:
+                done = _reap(st, now, timeout)
+                if done is None:
                     still_running.append(st)
                     continue
                 st.conn.close()
-                if not record.ok and record.attempts <= retries:
-                    # Retry: requeue at the front with the attempt count
-                    # and the wall time it has already burned.
-                    pending.appendleft((
-                        st.index, st.job, record.attempts + 1,
-                        record.wall_time_s,
-                    ))
-                else:
-                    _record_done(record, st.index, records, cache, on_record)
+                queue.settle(st.task, st.attempt,
+                             st.spent + now - st.started, *done)
             running = still_running
     finally:
         for st in running:

@@ -1,4 +1,4 @@
-"""Buffer placement: cycle breaking, slack matching (LP + heuristic), timing."""
+"""Buffer placement: cycle breaking, LP slack matching, timing."""
 
 import pytest
 
@@ -23,7 +23,6 @@ from repro.circuit import (
     Sink,
     TransparentFifo,
 )
-from repro.errors import AnalysisError
 from repro.sim import Engine, Trace
 from fractions import Fraction
 
@@ -94,11 +93,10 @@ class TestCycleBreaking:
 
 
 class TestSlackMatching:
-    @pytest.mark.parametrize("method", ["lp", "heuristic"])
-    def test_skewed_join_gets_fifo_and_full_throughput(self, method):
+    def test_skewed_join_gets_fifo_and_full_throughput(self):
         c, out = fork_join_skew_circuit()
         cfcs = critical_cfcs(c)
-        placed = slack_match_cfc(c, cfcs[0], method=method)
+        placed = slack_match_cfc(c, cfcs[0])
         assert placed, "the short path must receive a slack FIFO"
         c.validate()
         trace = Trace()
@@ -143,11 +141,6 @@ class TestPlaceBuffers:
         report = place_buffers(c, [], timing=False)
         assert report.cycle_breakers
         assert report.total_slots >= 2
-
-    def test_unknown_method_rejected(self):
-        c, _ = fork_join_skew_circuit()
-        with pytest.raises(AnalysisError):
-            slack_match_cfc(c, critical_cfcs(c)[0], method="magic")
 
 
 class TestTimingBuffers:

@@ -7,8 +7,11 @@ Two invariants everything else rests on:
   single field yields a different key;
 * **lossless serialization** — ``TechniqueResult`` survives a JSON
   round trip bit-for-bit for any finite field values, so a cached row is
-  indistinguishable from a freshly computed one.
+  indistinguishable from a freshly computed one, and rows written by
+  older code (dropped or missing columns) still load.
 """
+
+import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
@@ -117,6 +120,19 @@ def test_technique_result_json_round_trip(result):
     assert back == result
     # and the canonical serialized form is stable, too
     assert back.to_json() == result.to_json()
+
+
+@settings(max_examples=50, deadline=None)
+@given(result=results)
+def test_older_rows_with_dropped_columns_still_load(result):
+    # Rows cached before a column was dropped (``fallback_lanes``) or
+    # added carry unknown keys or lack known ones: unknown keys are
+    # ignored and missing ones take their defaults.
+    old = result.to_dict()
+    old["fallback_lanes"] = 0
+    del old["memdep_diags"]
+    back = TechniqueResult.from_dict(old)
+    assert back == dataclasses.replace(result, memdep_diags=0)
 
 
 @settings(max_examples=100, deadline=None)

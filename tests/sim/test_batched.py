@@ -1,12 +1,12 @@
 """Differential and contract tests for batched (lane-parallel) simulation.
 
-The batched engines (`repro.sim.batched`) promise bit-identical results
-to B scalar runs — per-lane cycle counts, fire counts, memory contents
-and sink values — whether the batch runs lockstep (shared control, lane
-tuples for data), promotes to mask-lane (MIMD) execution after a
-:class:`LaneDivergence` (generated-loop backends), or re-executes each
-lane on a scalar engine (event backend).  The scalar engines are the
-oracle.
+The one laned engine (`repro.sim.batched.BatchedEngine`) promises
+bit-identical results to B scalar runs — per-lane cycle counts, fire
+counts, memory contents and sink values — whether the batch runs
+lockstep (shared control, lane tuples for data) or promotes to mask-lane
+(MIMD) execution after a :class:`LaneDivergence`.  The scalar engines
+are the oracle.  Event batches have no laned engine and run seed by
+seed.
 
 Also covered: the observer refusal contract (batched mode rejects
 Trace/SimProfile/sanitizer with clean errors, the profile CLI exits 2
@@ -40,13 +40,12 @@ from repro.frontend.kernels import KERNEL_NAMES, build
 from repro.frontend.runner import default_inputs
 from repro.pipeline import TECHNIQUES, run_technique, run_technique_batch
 from repro.sim import (
-    BACKENDS,
+    BatchedEngine,
     Memory,
     SimProfile,
     Trace,
     create_engine,
 )
-from repro.sim.batched import BatchedCodegenEngine
 from repro.sim.codegen import CodegenEngine, generate_source, source_key
 from repro.sim.signal_graph import compile_schedule
 
@@ -108,7 +107,7 @@ def _run_batched(lowered, seeds, backend):
 
 
 # ---------------------------------------------------------------------------
-# all 33 goldens x every backend x B in {1, 2, 7}: bit-identical to scalar
+# all 42 goldens x B in {1, 2, 7}: the laned engine bit-identical to scalar
 
 
 @pytest.mark.parametrize("kernel,technique", PAIRS,
@@ -121,19 +120,18 @@ def test_batched_bit_identical_on_goldens(kernel, technique):
     }
     for lanes in LANE_COUNTS:
         seeds = SEEDS[:lanes]
-        for backend in BACKENDS:
-            engine, memories, cycles = _run_batched(lowered, seeds, backend)
-            for lane, seed in enumerate(seeds):
-                want = scalar[seed]
-                label = f"{backend} B={lanes} lane={lane}"
-                assert cycles[lane] == want.cycles, label
-                assert engine.lane_fires[lane] == want.fires, label
-                assert memories[lane].writes == want.reference.writes, label
-                for name in want.arrays:
-                    got = memories[lane].dump(name)
-                    assert np.array_equal(got, want.arrays[name]), (
-                        f"{label}: array {name}"
-                    )
+        engine, memories, cycles = _run_batched(lowered, seeds, "codegen")
+        for lane, seed in enumerate(seeds):
+            want = scalar[seed]
+            label = f"B={lanes} lane={lane}"
+            assert cycles[lane] == want.cycles, label
+            assert engine.lane_fires[lane] == want.fires, label
+            assert memories[lane].writes == want.reference.writes, label
+            for name in want.arrays:
+                got = memories[lane].dump(name)
+                assert np.array_equal(got, want.arrays[name]), (
+                    f"{label}: array {name}"
+                )
 
 
 def test_simulate_kernel_batch_matches_scalar_runs():
@@ -147,6 +145,22 @@ def test_simulate_kernel_batch_matches_scalar_runs():
         assert run.checked
         for name in want.arrays:
             assert np.array_equal(run.arrays[name], want.arrays[name])
+
+
+def test_event_batch_runs_seed_by_seed():
+    # The event backend has no laned engine: its batch is the list of
+    # scalar runs, sharing one batch wall time like a laned batch.
+    lowered = _prepare("gsumif", "crush")
+    seeds = [7, 11, 13]
+    runs = simulate_kernel_batch(lowered, seeds, backend="event")
+    for seed, run in zip(seeds, runs):
+        want = simulate_kernel(lowered, seed=seed, backend="event")
+        assert (run.cycles, run.fires) == (want.cycles, want.fires)
+        assert run.data_plane == "scalar"
+        assert run.mask_promotions == 0 and run.fallback_lanes == 0
+    assert len({run.sim_wall_s for run in runs}) == 1
+    with pytest.raises(SimulationError, match="[Ss]anitizer"):
+        simulate_kernel_batch(lowered, seeds, backend="event", sanitize=True)
 
 
 def test_run_technique_batch_rows_match_scalar():
@@ -169,7 +183,6 @@ def test_run_technique_batch_rows_match_scalar():
 def test_lockstep_kernel_runs_without_divergence():
     lowered = _prepare("atax", "crush")
     engine, _, _ = _run_batched(lowered, SEEDS[:3], "codegen")
-    assert engine.fallback_lanes == 0
     assert engine.mask_promotions == 0
     assert engine.divergence is None
     assert engine.done_mask == 0b111
@@ -181,7 +194,6 @@ def test_divergent_kernel_promotes_to_mask_lanes():
     # still deliver bit-exact per-lane results.
     lowered = _prepare("gsumif", "crush")
     engine, memories, cycles = _run_batched(lowered, SEEDS[:3], "codegen")
-    assert engine.fallback_lanes == 0
     assert engine.mask_promotions == 1
     assert engine.divergence is not None
     assert engine.divergence.channel
@@ -225,8 +237,7 @@ def test_partial_done_mask_freezes_lanes_via_mask_promotion():
         lambda lane: engine.sink_count("out", lane) >= targets[lane],
         uniform_done=False,
     )
-    assert engine.fallback_lanes == 0  # partial mask -> promotion, not scalar
-    assert engine.mask_promotions == 1
+    assert engine.mask_promotions == 1  # partial mask -> promotion
     assert engine.divergence is not None
     assert engine.divergence.channel == "done"
     for lane, target in enumerate(targets):
@@ -285,7 +296,6 @@ def _assert_lanes_match_scalar(make_circuit, n_tokens, lanes, backend):
         lambda lane: engine.sink_count("out", lane) >= n_tokens,
         max_cycles=3_000, uniform_done=True,
     )
-    assert engine.fallback_lanes == 0
     for lane in range(lanes):
         assert cycles[lane] == ref_cycles, lane
         assert engine.lane_fires[lane] == ref.total_fires, lane
@@ -337,7 +347,16 @@ def test_random_fork_join_batched_lanes_match_scalar(
 # observer refusal contract
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_event_backend_has_no_laned_engine():
+    with pytest.raises(SimulationError, match="simulate_kernel_batch"):
+        create_engine(_chain_circuit([1.0]), backend="event", lanes=2)
+    # Both generated-loop backends get the one laned engine.
+    for backend in ("compiled", "codegen"):
+        engine = create_engine(_chain_circuit([1.0]), backend=backend, lanes=2)
+        assert type(engine) is BatchedEngine
+
+
+@pytest.mark.parametrize("backend", ["codegen", "compiled"])
 def test_batched_refuses_observers(backend):
     c = _chain_circuit([1.0, 2.0])
     with pytest.raises(SimulationError, match="Trace"):
@@ -431,8 +450,9 @@ def test_batched_sweep_writes_scalar_equivalent_cache_rows(tmp_path):
 
 
 def test_batched_sweep_isolates_failing_batches(tmp_path):
-    # A job doomed to fail (max_cycles far too small) must fail as its
-    # own record without dragging down its batch siblings.
+    # A job doomed to fail (max_cycles far too small, which also gives it
+    # a batch key of its own) fails as its own record while the batch of
+    # its siblings completes; tests/sweep covers a batch that fails.
     from repro.sweep import ResultCache, SweepJob, run_sweep
 
     good = [SweepJob("atax", "crush", scale="small", sim_backend="codegen",
@@ -451,13 +471,11 @@ def test_batched_sweep_isolates_failing_batches(tmp_path):
 
 @pytest.fixture
 def codegen_cache(tmp_path, monkeypatch):
-    """Isolated disk cache + empty in-process memos for every test."""
-    import repro.sim.batched as bt
+    """Isolated disk cache + an empty in-process memo for every test."""
     import repro.sim.codegen as cg
 
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
     monkeypatch.setattr(cg, "_MODULE_CACHE", type(cg._MODULE_CACHE)())
-    monkeypatch.setattr(bt, "_INPROC_CACHE", type(bt._INPROC_CACHE)())
     return tmp_path / "cgc"
 
 
@@ -474,7 +492,7 @@ def test_laned_module_cannot_poison_scalar_runs(codegen_cache):
     values = [1.0, 2.0, 3.0]
     # Populate the disk cache with the laned module first.
     c_b = _chain_circuit(values)
-    batched = BatchedCodegenEngine(c_b, lanes=2)
+    batched = BatchedEngine(c_b, lanes=2)
     batched.run_lanes(
         lambda lane: batched.sink_count("out", lane) >= len(values),
         uniform_done=True,
@@ -495,14 +513,21 @@ def test_batched_codegen_reloads_laned_module_from_disk(codegen_cache):
     import repro.sim.codegen as cg
 
     values = [4.0, 5.0]
-    first = BatchedCodegenEngine(_chain_circuit(values), lanes=3)
+    before = dict(cg.CODEGEN_STATS)
+    first = BatchedEngine(_chain_circuit(values), lanes=3)
     assert first.codegen_origin == "generated"
     # New in-process memo: the second construction must come from disk.
     cg._MODULE_CACHE.clear()
-    second = BatchedCodegenEngine(_chain_circuit(values), lanes=3)
+    second = BatchedEngine(_chain_circuit(values), lanes=3)
     assert second.codegen_key == first.codegen_key
     assert second.codegen_origin == "disk"
-    # Same module object serves any lane count: it binds LB at runtime.
-    third = BatchedCodegenEngine(_chain_circuit(values), lanes=5)
+    # Same module object serves any lane count and either backend name:
+    # it binds LB at runtime.
+    third = create_engine(_chain_circuit(values), backend="compiled",
+                          lanes=5)
     assert third.codegen_key == first.codegen_key
     assert third.codegen_origin == "memory"
+    # Lane batches count in CODEGEN_STATS like every generated module.
+    assert {k: cg.CODEGEN_STATS[k] - before[k] for k in before} == {
+        "generated": 1, "disk": 1, "memory": 1,
+    }

@@ -1,14 +1,14 @@
 """Mask-lane (MIMD) execution tests: divergence without scalar fallback.
 
-The generated-loop batched engines promote from lockstep to mask-lane
-execution at the first control divergence (`repro.sim.batched`): every
+The laned engine promotes from lockstep to mask-lane execution at the
+first control divergence (`repro.sim.batched`): every
 1-bit control signal becomes a per-lane bitmask integer and each lane
 gets its own done/cycle-freeze bit.  These tests pin the promotion
 contract:
 
 * divergent batches (``gsumif``, and a synthetic load→branch circuit)
-  stay lane-parallel — ``fallback_lanes == 0`` — yet remain bit-identical
-  to scalar runs per lane, across lane counts up to 64;
+  stay lane-parallel — one promotion, no lane re-run — yet remain
+  bit-identical to scalar runs per lane, across lane counts up to 64;
 * lanes frozen by an early ``done`` predicate never perturb survivors
   (hypothesis property);
 * the mask-capable laned module has its own content-addressed disk-cache
@@ -42,7 +42,7 @@ from repro.frontend.runner import default_inputs
 from repro.frontend.interp import run_reference
 from repro.pipeline import TECHNIQUES
 from repro.sim import Memory, create_engine
-from repro.sim.batched import BatchedCodegenEngine
+from repro.sim.batched import BatchedEngine
 from repro.sim.codegen import generate_source, source_key
 from repro.sim.signal_graph import compile_schedule
 
@@ -112,7 +112,6 @@ def test_gsumif_mask_lanes_bit_identical_to_scalar(lanes):
     engine, memories, cycles = _run_batched(lowered, seeds, "codegen")
     # Distinct input sets must diverge — and stay lane-parallel.
     assert engine.mask_promotions == 1
-    assert engine.fallback_lanes == 0
     assert engine.divergence is not None
     assert engine.done_mask == (1 << lanes) - 1
     for lane, seed in enumerate(seeds):
@@ -182,7 +181,6 @@ def test_synthetic_divergence_bit_identical_to_scalar(backend, lanes):
         max_cycles=10_000, uniform_done=True,
     )
     assert engine.mask_promotions == 1
-    assert engine.fallback_lanes == 0
     assert engine.divergence is not None
     assert "br" in engine.divergence.channel
 
@@ -244,7 +242,6 @@ def test_frozen_lanes_never_perturb_survivors(values, data, slots, backend):
         lambda lane: engine.sink_count("out", lane) >= targets[lane],
         max_cycles=5_000, uniform_done=False,
     )
-    assert engine.fallback_lanes == 0
     if len(set(targets)) > 1:
         assert engine.mask_promotions == 1
     for lane, target in enumerate(targets):
@@ -264,12 +261,10 @@ def test_frozen_lanes_never_perturb_survivors(values, data, slots, backend):
 
 @pytest.fixture
 def codegen_cache(tmp_path, monkeypatch):
-    import repro.sim.batched as bt
     import repro.sim.codegen as cg
 
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
     monkeypatch.setattr(cg, "_MODULE_CACHE", type(cg._MODULE_CACHE)())
-    monkeypatch.setattr(bt, "_INPROC_CACHE", type(bt._INPROC_CACHE)())
     return tmp_path / "cgc"
 
 
@@ -291,7 +286,7 @@ def test_mask_variant_has_its_own_cache_key(codegen_cache):
 def test_disk_loaded_module_still_promotes(codegen_cache):
     def run_batch():
         memories = [_flags_memory(lane) for lane in range(3)]
-        engine = BatchedCodegenEngine(
+        engine = BatchedEngine(
             _divergent_circuit(), lanes=3, memories=memories,
         )
         cycles = engine.run_lanes(
@@ -314,7 +309,6 @@ def test_disk_loaded_module_still_promotes(codegen_cache):
     assert second.codegen_key == first.codegen_key
     assert second.codegen_origin == "disk"
     assert second.mask_promotions == 1
-    assert second.fallback_lanes == 0
     assert cycles_b == cycles_a
     assert recv_b == recv_a
 
@@ -329,9 +323,8 @@ def test_disk_loaded_module_still_promotes(codegen_cache):
 def test_goldens_forced_mask_bit_identical(kernel, technique, plane):
     # start_masked=True promotes before the first cycle: the whole run
     # executes in mask mode, so lockstep-only kernels also prove the
-    # masked emitters bit-identical to scalar execution, with zero
-    # scalar-fallback lanes.  ``plane`` is the data plane the batch must
-    # report running on.
+    # masked emitters bit-identical to scalar execution.  ``plane`` is
+    # the data plane the batch must report running on.
     lowered = _prepare(kernel, technique)
     seeds = [7, 11]
     engine, memories, cycles = _run_batched(
@@ -339,7 +332,6 @@ def test_goldens_forced_mask_bit_identical(kernel, technique, plane):
     )
     assert engine.data_plane == plane
     assert engine.mask_promotions == 1
-    assert engine.fallback_lanes == 0
     for lane, seed in enumerate(seeds):
         want = simulate_kernel(lowered, seed=seed, backend="compiled")
         label = f"{kernel}-{technique} lane={lane}"
@@ -365,7 +357,6 @@ def test_promotion_lifts_state_into_plane(plane):
     engine, memories, cycles = _run_batched(lowered, seeds, "codegen")
     assert engine.data_plane == plane
     assert engine.mask_promotions == 1
-    assert engine.fallback_lanes == 0
     for lane, seed in enumerate(seeds):
         want = simulate_kernel(lowered, seed=seed, backend="codegen")
         assert cycles[lane] == want.cycles, (plane, lane)

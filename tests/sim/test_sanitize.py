@@ -181,6 +181,30 @@ class TestEnableSwitches:
         assert CompiledEngine(chain_circuit(), sanitize=False).sanitizer \
             is None
 
+    def test_env_reaches_run_technique_and_the_cli(self, monkeypatch,
+                                                   capsys):
+        # Neither entry point may turn the variable off by passing an
+        # explicit sanitize=False down to the engine.
+        import repro.sim.sanitize as sanitize_module
+        from repro.cli import main
+        from repro.pipeline import run_technique
+
+        built = []
+
+        class Counting(HandshakeSanitizer):
+            def __init__(self, circuit, *args, **kwargs):
+                super().__init__(circuit, *args, **kwargs)
+                built.append(circuit.name)
+
+        monkeypatch.setattr(sanitize_module, "HandshakeSanitizer", Counting)
+        monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
+        run_technique("gsum", "crush", scale="small")
+        assert len(built) == 1
+        assert main(["run", "gsum", "crush", "--scale", "small"]) == 0
+        assert len(built) == 2
+        assert main(["profile", "gsum", "--backend", "event"]) == 0
+        assert len(built) == 3
+
 
 DIFF_KERNELS = ["gsum", "gsumif", "atax", "bicg", "gemm"]
 
