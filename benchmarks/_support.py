@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.frontend.kernels import PAPER_KERNELS
 from repro.pipeline import TechniqueResult
 from repro.reporting import render_table, write_csv
-from repro.sweep import ResultCache, SweepJob, execute_job, run_sweep
+from repro.sweep import ResultCache, SweepJob, run_sweep
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 CACHE_DIR = os.path.join(RESULTS_DIR, "cache")
@@ -62,13 +62,8 @@ def get_row(kernel: str, technique: str, style: str = "bb",
     if key not in _row_cache:
         job = SweepJob(kernel=kernel, technique=technique, style=style,
                        scale=scale)
-        cache = persistent_cache()
-        row = cache.get(job) if cache is not None else None
-        if row is None:
-            row = execute_job(job)
-            if cache is not None:
-                cache.put(job, row)
-        _row_cache[key] = row
+        outcome = run_sweep([job], cache=persistent_cache())
+        _row_cache[key] = outcome.raise_on_failure().records[0].result
     return _row_cache[key]
 
 

@@ -13,7 +13,8 @@ representative Table 2 kernels in one process:
 
 A fourth column measures the batched (lane-parallel) codegen backend at
 8 lanes of distinct input sets, reporting per-dataset throughput
-against a lanes=1 batch.  A dedicated ``divergent_lanes`` section runs
+against a one-seed batch (the ``lanes1`` keys), which runs on scalar
+codegen.  A dedicated ``divergent_lanes`` section runs
 ``gsumif`` — whose data-dependent branch diverges immediately, so
 pre-mask the batch fell back to scalar and gained nothing — at 64 lanes
 of divergent seeds through the mask loop, reporting per-dataset
@@ -151,7 +152,8 @@ def _measure_lanes(lowered, repeats: int = 2):
     module compile (cached after the first call) never pollutes the
     number.  The figure of merit is *datasets per second*: a lanes=B
     batch finishes B input sets in one wall interval, so per-dataset
-    speedup over the lanes=1 batch is ``B * wall_1 / wall_B``.
+    speedup over a one-seed batch — a scalar codegen run, since one seed
+    has no lanes to share — is ``B * wall_1 / wall_B``.
     """
     walls = {}
     cycles = {}

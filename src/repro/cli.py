@@ -58,62 +58,57 @@ def _parse_seeds(spec: str) -> List[int]:
 
 def _cmd_run(args) -> int:
     from .pipeline import run_technique, run_technique_batch
-    from .sim import DEFAULT_BACKEND, lanes_default
 
     seeds = _parse_seeds(args.seeds)
-    lanes = args.lanes if args.lanes is not None else lanes_default()
-    if lanes is not None and lanes < 1:
+    if args.lanes is not None and args.lanes < 1:
         print("error: --lanes wants a positive integer", file=sys.stderr)
         return 2
-    if len(seeds) > 1:
-        if args.no_sim:
-            print("error: --seeds with several values needs simulation "
-                  "(drop --no-sim)", file=sys.stderr)
-            return 2
-        if args.sanitize:
-            print("error: --sanitize is scalar-only and cannot combine "
-                  "with a multi-seed batched run", file=sys.stderr)
-            return 2
-        backend = args.sim_backend or DEFAULT_BACKEND
-        if lanes is not None and lanes > 1 and backend == "event":
-            print("error: --lanes/REPRO_SIM_LANES > 1 needs a "
-                  "generated-loop backend (compiled/codegen); the event "
-                  "backend has no lane-parallel execution — drop --lanes "
-                  "or pick another --sim-backend", file=sys.stderr)
-            return 2
-        width = lanes or len(seeds)
-        chunks = [seeds[i:i + width] for i in range(0, len(seeds), width)]
+    if len(seeds) > 1 and args.no_sim:
+        print("error: --seeds with several values needs simulation "
+              "(drop --no-sim)", file=sys.stderr)
+        return 2
+    if len(seeds) > 1 and args.sanitize:
+        print("error: --sanitize is scalar-only and cannot combine "
+              "with a multi-seed batched run", file=sys.stderr)
+        return 2
+    common = dict(style=args.style, scale=args.scale,
+                  sim_backend=args.sim_backend, lint=args.lint)
+    if len(seeds) == 1:
+        batches = [[run_technique(
+            args.kernel, args.technique, simulate=not args.no_sim,
+            sanitize=True if args.sanitize else None, seed=seeds[0],
+            **common,
+        )]]
+    else:
+        width = args.lanes or len(seeds)
         batches = [
-            run_technique_batch(
-                args.kernel,
-                args.technique,
-                seeds=chunk,
-                style=args.style,
-                scale=args.scale,
-                sim_backend=args.sim_backend,
-                lint=args.lint,
-            )
-            for chunk in chunks
+            run_technique_batch(args.kernel, args.technique,
+                                seeds=seeds[i:i + width], **common)
+            for i in range(0, len(seeds), width)
         ]
-        head = batches[0][0]
+
+    head = batches[0][0]
+    print(f"kernel      : {head.kernel} [{head.style}, scale={args.scale}]")
+    print(f"technique   : {head.technique}")
+    print(f"units       : {head.fu_census}")
+    print(f"DSPs        : {head.dsp}")
+    print(f"slices      : {head.slices}")
+    print(f"LUTs        : {head.lut}")
+    print(f"FFs         : {head.ff}")
+    print(f"CP          : {head.cp_ns} ns")
+    if not args.no_sim:
         n_b = len(batches)
-        print(f"kernel      : {head.kernel} [{head.style}, "
-              f"scale={args.scale}]")
-        print(f"technique   : {head.technique}")
-        print(f"units       : {head.fu_census}")
-        print(f"CP          : {head.cp_ns} ns")
-        print(f"lanes       : {len(seeds)} "
-              f"({head.sim_backend} backend, "
-              f"{n_b} batched simulation{'s' if n_b > 1 else ''})")
+        print(f"seeds       : {len(seeds)} ({head.sim_backend} backend, "
+              f"{n_b} batch{'es' if n_b > 1 else ''})")
         for rows in batches:
             for row in rows:
                 print(f"  seed {row.seed:<6d}: {row.cycles} cycles, "
                       f"{row.exec_time_us} us (verified against reference)")
-        # One head row per batch carries that batch's divergence
-        # provenance (every row of a batch shares it).
+        # One head row per batch carries that batch's provenance (every
+        # row of a batch shares it).
         promoted = [rows[0] for rows in batches if rows[0].mask_promotions]
-        if head.data_plane == "scalar":
-            line = "seed by seed (the event backend has no lane loop)"
+        if all(rows[0].data_plane == "scalar" for rows in batches):
+            line = "seed by seed"
         elif promoted:
             sites = sorted({h.divergence for h in promoted if h.divergence})
             line = (f"mask-lanes in {len(promoted)}/{n_b} batch(es) "
@@ -121,37 +116,12 @@ def _cmd_run(args) -> int:
         else:
             line = "lockstep (no control divergence)"
         print(f"execution   : {line}")
-        return 0
-
-    row = run_technique(
-        args.kernel,
-        args.technique,
-        style=args.style,
-        scale=args.scale,
-        simulate=not args.no_sim,
-        sim_backend=args.sim_backend,
-        lint=args.lint,
-        sanitize=True if args.sanitize else None,
-        seed=seeds[0],
-    )
-    print(f"kernel      : {row.kernel} [{row.style}, scale={args.scale}]")
-    print(f"technique   : {row.technique}")
-    print(f"units       : {row.fu_census}")
-    print(f"DSPs        : {row.dsp}")
-    print(f"slices      : {row.slices}")
-    print(f"LUTs        : {row.lut}")
-    print(f"FFs         : {row.ff}")
-    print(f"CP          : {row.cp_ns} ns")
-    if not args.no_sim:
-        print(f"cycles      : {row.cycles} (verified against reference, "
-              f"{row.sim_backend} backend)")
-        print(f"exec time   : {row.exec_time_us} us")
-    print(f"opt time    : {row.opt_time_s} s")
+    print(f"opt time    : {head.opt_time_s} s")
     if args.lint != "off":
-        print(f"lint        : {row.lint_errors} error(s), "
-              f"{row.lint_warnings} warning(s)")
-    if row.groups:
-        sizes = sorted((len(g) for g in row.groups), reverse=True)
+        print(f"lint        : {head.lint_errors} error(s), "
+              f"{head.lint_warnings} warning(s)")
+    if head.groups:
+        sizes = sorted((len(g) for g in head.groups), reverse=True)
         print(f"groups      : {len(sizes)} (sizes {sizes})")
     return 0
 
@@ -187,20 +157,8 @@ def _cmd_sweep(args) -> int:
         write_outputs,
     )
 
-    from .sim import DEFAULT_BACKEND, lanes_default
-
-    if args.lanes is not None and args.lanes < 2:
-        print("error: --lanes wants an integer >= 2 (a 1-lane batch is a "
-              "scalar run)", file=sys.stderr)
-        return 2
-    if args.lanes is None:
-        args.lanes = lanes_default()
-    backend = args.sim_backend or DEFAULT_BACKEND
-    if args.lanes is not None and backend == "event":
-        print("error: --lanes/REPRO_SIM_LANES > 1 needs a generated-loop "
-              "backend (compiled/codegen); the event backend has no "
-              "lane-parallel execution — drop --lanes or pick another "
-              "--sim-backend", file=sys.stderr)
+    if args.lanes is not None and args.lanes < 1:
+        print("error: --lanes wants a positive integer", file=sys.stderr)
         return 2
     jobs = build_matrix(
         kernels=args.kernel or None,
@@ -237,12 +195,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .analysis import critical_cfcs, insert_timing_buffers, place_buffers
-    from .baselines import inorder_share, naive_share
-    from .core import crush
     from .errors import SimulationError
-    from .frontend import lower_kernel, simulate_kernel
-    from .frontend.kernels import build
+    from .frontend import simulate_kernel
+    from .pipeline import prepare_circuit
     from .sim import DEFAULT_BACKEND, SimProfile
 
     if args.lanes is not None:
@@ -255,19 +210,9 @@ def _cmd_profile(args) -> int:
               file=sys.stderr)
         return 2
 
-    # Prepare the exact circuit the evaluation pipeline simulates.
-    kernel = build(args.kernel, scale=args.scale)
-    lowered = lower_kernel(kernel, style=args.style)
-    circuit = lowered.circuit
-    cfcs = critical_cfcs(circuit)
-    place_buffers(circuit, cfcs)
-    if args.technique == "naive":
-        naive_share(circuit, cfcs)
-    elif args.technique == "inorder":
-        inorder_share(circuit, cfcs)
-    else:
-        crush(circuit, cfcs)
-    insert_timing_buffers(circuit)
+    # The exact circuit the evaluation pipeline simulates.
+    lowered = prepare_circuit(args.kernel, args.technique, style=args.style,
+                              scale=args.scale).lowered
 
     if args.backend == "both":
         # Both *instrumented* backends; codegen has no per-unit hooks.
@@ -471,12 +416,7 @@ def _cmd_analyze_memdep(args) -> int:
     from .errors import LintError
     from .frontend.kernels import KERNEL_NAMES
     from .lint import LintReport, sarif_json
-    from .pipeline import (
-        TECHNIQUES,
-        analyze_memdep,
-        lint_prepared,
-        prepare_circuit,
-    )
+    from .pipeline import TECHNIQUES, lint_prepared, prepare_circuit
 
     kernels = args.kernel or list(KERNEL_NAMES)
     techniques = args.technique or list(TECHNIQUES)
@@ -491,8 +431,10 @@ def _cmd_analyze_memdep(args) -> int:
             prep = prepare_circuit(
                 kn, tech, style=args.style, scale=args.scale
             )
-            dep = analyze_memdep(prep)
+            # The lint run analyses the kernel's memory dependences
+            # once; the table reads that report.
             lint = lint_prepared(prep)
+            dep = lint.context.memdep
             md_diags = [
                 d for d in lint.diagnostics if d.code.startswith("MD")
             ]
@@ -611,9 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "row each (default: 7)")
     p_r.add_argument("--lanes", type=int, default=None, metavar="B",
                      help="cap the lane count of a multi-seed run: seeds "
-                          "chunk into batches of <= B (default: "
-                          "$REPRO_SIM_LANES, else all seeds in one "
-                          "batch; 1 = one scalar-width batch per seed)")
+                          "chunk into batches of <= B (default: all seeds "
+                          "in one batch); 1, and the event backend, run "
+                          "seed by seed")
     p_r.set_defaults(fn=_cmd_run)
 
     p_w = sub.add_parser("wrapper", help="characterize a standalone wrapper")
@@ -659,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--lanes", type=int, default=None, metavar="B",
                      help="batch up to B seed-adjacent jobs into one "
                           "lane-parallel simulation (cache rows stay "
-                          "per-seed; results are bit-identical)")
+                          "per-seed; results are bit-identical); 1, and "
+                          "the event backend, run seed by seed")
     p_s.add_argument("--out-dir", default="benchmarks/results",
                      metavar="DIR", help="artifact directory")
     p_s.add_argument("--out", default="sweep", metavar="BASE",

@@ -4,13 +4,19 @@ Drives the full loop the paper's methodology describes (Section 6.1):
 generate inputs, run the cycle-accurate simulation (the ModelSim stand-in),
 confirm the circuit computes exactly what the C semantics say and does not
 deadlock, and report the cycle count.
+
+Every seed, alone (:func:`simulate_kernel`) or as one lane of a batch
+(:func:`simulate_kernel_batch`), gets the same set-up — inputs, the
+interpreter reference, a seeded :class:`~repro.sim.Memory` — and the same
+verification, which raises :class:`~repro.errors.SimulationError` on any
+difference.  Event and one-seed batches run seed by seed.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,15 +30,14 @@ from .lower import LoweredKernel
 
 @dataclass
 class KernelRun:
-    """Outcome of one simulated kernel execution."""
+    """Outcome of one simulated kernel execution, verified against the
+    reference (a returned run always matched it)."""
 
     cycles: int
     fires: int
-    checked: bool
     arrays: Dict[str, np.ndarray]
     reference: RefResult
     sim_wall_s: float
-    mismatches: Dict[str, float] = field(default_factory=dict)
     #: Always 0 — a lane batch never re-runs a lane on a scalar engine;
     #: kept for tools that total it.
     fallback_lanes: int = 0
@@ -42,9 +47,9 @@ class KernelRun:
     mask_promotions: int = 0
     divergence: Optional[str] = None
     #: Which data representation executed the run: ``"scalar"`` for the
-    #: one-lane engines (event batches included, which run seed by
-    #: seed), ``"tuple"`` for the lane-parallel engine.  Provenance only
-    #: — both are bit-identical by construction.
+    #: one-lane engines (event and one-seed batches included, which run
+    #: seed by seed), ``"tuple"`` for the lane-parallel engine.
+    #: Provenance only — both are bit-identical by construction.
     data_plane: str = "scalar"
 
 
@@ -73,10 +78,48 @@ def default_inputs(kernel: Kernel, seed: int = 7) -> Dict[str, np.ndarray]:
     return data
 
 
+def _seeded(kernel: Kernel, seed: int) -> Tuple[RefResult, Memory]:
+    """One seed's set-up: inputs, the interpreter reference, and a
+    :class:`Memory` holding the inputs."""
+    inputs = default_inputs(kernel, seed=seed)
+    reference = run_reference(kernel, inputs)
+    memory = Memory()
+    for arr in kernel.arrays:
+        size = arr.resolved_size(kernel.params)
+        memory.allocate(arr.name, size, init=inputs[arr.name])
+    return reference, memory
+
+
+def _verify(kernel: Kernel, seed: int, memory: Memory,
+            reference: RefResult) -> Dict[str, np.ndarray]:
+    """Check one simulated seed against its reference; return its arrays.
+
+    The write count must match (no store lost or duplicated), then every
+    array must equal the reference's.  Either difference raises
+    :class:`SimulationError`.
+    """
+    if memory.writes != reference.writes:
+        raise SimulationError(
+            f"{kernel.name} (seed {seed}): circuit performed "
+            f"{memory.writes} writes, reference performed {reference.writes}"
+        )
+    arrays = {a.name: memory.dump(a.name) for a in kernel.arrays}
+    mismatches: Dict[str, float] = {}
+    for name, got in arrays.items():
+        want = reference.arrays[name]
+        if not np.allclose(got, want, rtol=1e-9, atol=1e-12):
+            mismatches[name] = float(np.max(np.abs(got - want)))
+    if mismatches:
+        raise SimulationError(
+            f"{kernel.name} (seed {seed}): simulation diverges from the "
+            f"reference semantics: {mismatches}"
+        )
+    return arrays
+
+
 def simulate_kernel(
     lowered: LoweredKernel,
-    inputs: Optional[Dict[str, np.ndarray]] = None,
-    check: bool = True,
+    *,
     max_cycles: int = 2_000_000,
     trace: Optional[Trace] = None,
     seed: int = 7,
@@ -84,11 +127,13 @@ def simulate_kernel(
     profile: Optional[SimProfile] = None,
     sanitize: object = None,
 ) -> KernelRun:
-    """Run ``lowered`` to completion; verify results against the reference.
+    """Run ``lowered`` on seed ``seed``'s inputs; verify the result.
 
     Completion is reached when the final control token arrives at the end
     sink *and* the circuit has committed every memory write the reference
     performed (drains stores still in flight when control exits early).
+    A result that differs from the reference raises
+    :class:`SimulationError`.
 
     ``backend`` selects the simulation backend (``"event"`` /
     ``"compiled"`` / ``"codegen"``; None uses
@@ -100,15 +145,7 @@ def simulate_kernel(
     as-is, e.g. one armed with SAN005 alias pairs).
     """
     kernel = lowered.kernel
-    if inputs is None:
-        inputs = default_inputs(kernel, seed=seed)
-    reference = run_reference(kernel, inputs)
-
-    memory = Memory()
-    for arr in kernel.arrays:
-        size = arr.resolved_size(kernel.params)
-        memory.allocate(arr.name, size, init=inputs[arr.name])
-
+    reference, memory = _seeded(kernel, seed)
     engine = create_engine(
         lowered.circuit, backend=backend,
         memory=memory, trace=trace, profile=profile, sanitize=sanitize,
@@ -122,31 +159,10 @@ def simulate_kernel(
     t0 = time.perf_counter()
     cycles = engine.run(done, max_cycles=max_cycles)
     wall = time.perf_counter() - t0
-
-    if memory.writes != expected_writes:
-        raise SimulationError(
-            f"{kernel.name}: circuit performed {memory.writes} writes, "
-            f"reference performed {expected_writes}"
-        )
-
-    arrays = {a.name: memory.dump(a.name) for a in kernel.arrays}
-    mismatches: Dict[str, float] = {}
-    if check:
-        for name, got in arrays.items():
-            want = reference.arrays[name]
-            if not np.allclose(got, want, rtol=1e-9, atol=1e-12):
-                mismatches[name] = float(np.max(np.abs(got - want)))
-        if mismatches:
-            raise SimulationError(
-                f"{kernel.name}: simulation diverges from the reference "
-                f"semantics: {mismatches}"
-            )
-
     return KernelRun(
         cycles=cycles,
         fires=engine.total_fires,
-        checked=check,
-        arrays=arrays,
+        arrays=_verify(kernel, seed, memory, reference),
         reference=reference,
         sim_wall_s=wall,
         data_plane=engine.data_plane,
@@ -156,7 +172,7 @@ def simulate_kernel(
 def simulate_kernel_batch(
     lowered: LoweredKernel,
     seeds: Sequence[int],
-    check: bool = True,
+    *,
     max_cycles: int = 2_000_000,
     backend: Optional[str] = None,
     sanitize: Optional[bool] = None,
@@ -169,25 +185,23 @@ def simulate_kernel_batch(
     (:class:`~repro.sim.batched.BatchedEngine`, used for ``"compiled"``
     and ``"codegen"``) evaluates all lanes in one generated-loop pass,
     so the batch costs far less wall clock than ``len(seeds)`` scalar
-    runs.  The event backend has no generated loop: its batch is exactly
-    that list of scalar runs.
+    runs.  A batch with no lane loop to use — the event backend, or a
+    single seed — is exactly that list of scalar runs.
 
     ``sim_wall_s`` on every returned :class:`KernelRun` is the wall time
     of the *whole batch* (lanes do not run separately, so there is no
-    per-lane time to report; an event batch reports the sum of its
+    per-lane time to report; a seed-by-seed batch reports the sum of its
     seeds' simulation times).  Observers (trace/profile/sanitizer) are
     scalar-only; requesting them here raises :class:`SimulationError`.
     """
-    kernel = lowered.kernel
-    lanes = len(seeds)
-    if lanes < 1:
+    if len(seeds) < 1:
         raise SimulationError("simulate_kernel_batch needs at least one seed")
+    refuse_observers(sanitize=sanitize)
     backend = backend or DEFAULT_BACKEND
-    if backend == "event":
-        refuse_observers(sanitize=sanitize)
+    if backend == "event" or len(seeds) == 1:
         runs = [
-            simulate_kernel(lowered, check=check, max_cycles=max_cycles,
-                            seed=s, backend=backend, sanitize=False)
+            simulate_kernel(lowered, max_cycles=max_cycles, seed=s,
+                            backend=backend, sanitize=False)
             for s in seeds
         ]
         wall = sum(run.sim_wall_s for run in runs)
@@ -195,21 +209,12 @@ def simulate_kernel_batch(
             run.sim_wall_s = wall
         return runs
 
-    references: List[RefResult] = []
-    memories: List[Memory] = []
-    for s in seeds:
-        inputs = default_inputs(kernel, seed=s)
-        references.append(run_reference(kernel, inputs))
-        memory = Memory()
-        for arr in kernel.arrays:
-            size = arr.resolved_size(kernel.params)
-            memory.allocate(arr.name, size, init=inputs[arr.name])
-        memories.append(memory)
+    kernel = lowered.kernel
+    references, memories = zip(*(_seeded(kernel, s) for s in seeds))
     expected = [ref.writes for ref in references]
-
     engine = create_engine(
-        lowered.circuit, backend=backend, lanes=lanes, memories=memories,
-        sanitize=sanitize,
+        lowered.circuit, backend=backend, lanes=len(seeds),
+        memories=memories, sanitize=False,
     )
     end_name = lowered.end_sink
 
@@ -235,35 +240,16 @@ def simulate_kernel_batch(
 
     div = engine.divergence
     div_site = f"{div.channel}@{div.cycle}" if div is not None else None
-
-    runs: List[KernelRun] = []
-    for lane, (memory, reference) in enumerate(zip(memories, references)):
-        if memory.writes != expected[lane]:
-            raise SimulationError(
-                f"{kernel.name}: lane {lane} performed {memory.writes} "
-                f"writes, reference performed {expected[lane]}"
-            )
-        arrays = {a.name: memory.dump(a.name) for a in kernel.arrays}
-        mismatches: Dict[str, float] = {}
-        if check:
-            for name, got in arrays.items():
-                want = reference.arrays[name]
-                if not np.allclose(got, want, rtol=1e-9, atol=1e-12):
-                    mismatches[name] = float(np.max(np.abs(got - want)))
-            if mismatches:
-                raise SimulationError(
-                    f"{kernel.name}: lane {lane} diverges from the "
-                    f"reference semantics: {mismatches}"
-                )
-        runs.append(KernelRun(
+    return [
+        KernelRun(
             cycles=lane_cycles[lane],
             fires=engine.lane_fires[lane],
-            checked=check,
-            arrays=arrays,
-            reference=reference,
+            arrays=_verify(kernel, seed, memories[lane], references[lane]),
+            reference=references[lane],
             sim_wall_s=wall,
             mask_promotions=engine.mask_promotions,
             divergence=div_site,
             data_plane=engine.data_plane,
-        ))
-    return runs
+        )
+        for lane, seed in enumerate(seeds)
+    ]

@@ -411,15 +411,17 @@ def run_technique_batch(
     lint: str = "warn",
     **size_overrides: int,
 ) -> List[TechniqueResult]:
-    """One table row per seed, from a single lane-parallel simulation.
+    """One table row per seed, from one batched simulation.
 
     Bit-identical to ``[run_technique(..., seed=s) for s in seeds]`` in
     every deterministic metric: the circuit is prepared, linted and
     estimated **once** (those steps do not depend on input data), and
     the per-seed cycle counts come from one batched simulation
-    (:func:`repro.frontend.simulate_kernel_batch`), which is
-    bit-identical to scalar runs.  ``opt_time_s`` is the shared
-    preparation's wall clock, identical across the rows.
+    (:func:`repro.frontend.simulate_kernel_batch`: lane-parallel on the
+    generated-loop backends, seed by seed for the event backend or a
+    single seed), which is bit-identical to scalar runs.
+    ``opt_time_s`` is the shared preparation's wall clock, identical
+    across the rows.
 
     Observers (``sanitize``) are scalar-only and deliberately not
     offered here.

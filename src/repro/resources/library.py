@@ -95,12 +95,11 @@ _OP_COSTS: Dict[str, tuple] = {
 }
 
 
-def functional_unit_resources(op: str, bundled_group: int = 0) -> Resources:
+def functional_unit_resources(op: str) -> Resources:
     """Resources of one operator instance.
 
-    ``bundled_group > 0`` marks the shared form inside a wrapper of that
-    size; the operator core is identical, the wrapper logic is costed on
-    the wrapper's own units.
+    A shared operator costs the same: the wrapper logic is costed on the
+    wrapper's own units.
     """
     lut, ff, dsp, _ = _OP_COSTS[op]
     return Resources(lut, ff, dsp)

@@ -29,7 +29,12 @@ flag, or the ``REPRO_SIM_BACKEND`` environment variable.  With
 :class:`~repro.sim.batched.BatchedEngine`, which runs ``B`` input sets
 per pass over lane tuples; it serves ``"compiled"`` and ``"codegen"``
 alike, and the event backend, which has no generated loop, refuses
-``lanes``.
+``lanes``.  Lanes are only a width: callers that batch seeds
+(:func:`repro.frontend.simulate_kernel_batch`, ``repro run``/``sweep
+--lanes``) run an event batch, and any one-seed batch, seed by seed on
+the scalar engines.  Every engine reports a deadlock or an exhausted
+cycle budget through one function,
+:func:`~repro.sim.engine.raise_stopped`.
 
 All backends accept ``sanitize=True`` (or ``REPRO_SIM_SANITIZE=1``) to
 run the opt-in handshake-protocol sanitizer
@@ -42,7 +47,7 @@ duplicated — with violations reported as ``repro.lint`` diagnostics.
 import os
 
 from ..errors import SimulationError
-from .batched import LANES_ENV, BatchedEngine, lanes_default
+from .batched import BatchedEngine
 from .codegen import CodegenEngine
 from .compiled import CompiledEngine
 from .engine import DEFAULT_DEADLOCK_WINDOW, BaseEngine, Engine
@@ -122,12 +127,10 @@ __all__ = [
     "DEFAULT_DEADLOCK_WINDOW",
     "Engine",
     "HandshakeSanitizer",
-    "LANES_ENV",
     "Memory",
     "SANITIZE_ENV",
     "SimProfile",
     "Trace",
     "create_engine",
-    "lanes_default",
     "sanitize_default",
 ]

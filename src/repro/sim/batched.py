@@ -44,13 +44,18 @@ coast with frozen state while the rest run to completion.
 
 One engine, :class:`BatchedEngine`, serves every lane count and both
 generated-loop backends (``create_engine(..., lanes=B)`` returns it for
-``"compiled"`` and ``"codegen"``).  It loads the laned module through
-:func:`~repro.sim.codegen.load_module`, so the module is memoized
+``"compiled"`` and ``"codegen"``).  It shares its set-up with the scalar
+:class:`~repro.sim.codegen.CodegenEngine`
+(:func:`~repro.sim.codegen.bind_loop_state`: schedule, signal arrays,
+activation flags, module load), so the laned module is memoized
 in-process and content-addressed in the same disk cache as scalar
 modules (laned and scalar sources always differ, so their keys can
-never collide).  The event backend has no generated loop and therefore
-no batched engine: :func:`repro.frontend.simulate_kernel_batch` runs an
-event batch seed by seed on scalar engines.
+never collide), and it reports deadlocks and cycle-limit overruns
+through the scalar engines' :func:`~repro.sim.engine.raise_stopped`.
+Lanes are a width, not a backend: the event backend has no generated
+loop and therefore no batched engine, so
+:func:`repro.frontend.simulate_kernel_batch` runs an event batch — and a
+one-seed batch on any backend — seed by seed on scalar engines.
 
 Observers are refused up front: a ``Trace``/``SimProfile``/sanitizer
 observes one circuit execution, and a batched pass is ``B`` of them
@@ -60,44 +65,15 @@ simulations.
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..circuit import DataflowCircuit
-from ..errors import DeadlockError, LaneDivergence, SimulationError
-from .codegen import generate_source, load_module, source_key
+from ..errors import LaneDivergence, SimulationError
+from .codegen import bind_loop_state, run_generated
 from .codegen_blocks import mask_state
-from .deadlock import diagnose
-from .engine import DEFAULT_DEADLOCK_WINDOW
+from .engine import DEFAULT_DEADLOCK_WINDOW, raise_stopped
 from .memory import Memory
 from .sanitize import sanitize_default
-from .signal_graph import compile_schedule
-
-#: Environment variable giving ``run``/``sweep`` their ``--lanes``
-#: default, matching the ``REPRO_SIM_BACKEND`` convention.
-LANES_ENV = "REPRO_SIM_LANES"
-
-
-def lanes_default() -> Optional[int]:
-    """``--lanes`` default from ``$REPRO_SIM_LANES`` (None unless set).
-
-    ``1`` (and unset/empty) means scalar execution — no batching; a
-    malformed value fails loudly rather than silently running scalar.
-    """
-    raw = os.environ.get(LANES_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        lanes = int(raw)
-    except ValueError:
-        raise SimulationError(
-            f"{LANES_ENV} wants a positive integer, got {raw!r}"
-        ) from None
-    if lanes < 1:
-        raise SimulationError(
-            f"{LANES_ENV} wants a positive integer, got {lanes}"
-        )
-    return lanes if lanes > 1 else None
 
 
 def refuse_observers(trace=None, profile=None, sanitize=None) -> None:
@@ -185,32 +161,11 @@ class BatchedEngine:
         self.divergence: Optional[LaneDivergence] = None
         self._divergence: Optional[LaneDivergence] = None
         self._masked = False
-
-        schedule = compile_schedule(circuit)
-        self.schedule = schedule
-        units = [circuit.units[n] for n in schedule.names]
-        self._units = units
-        for u in units:
-            u.reset()
-
-        nch = schedule.nch
-        self.valid = bytearray(nch)
-        self.ready = bytearray(nch)
-        self.fired = bytearray(nch)
-        self.data: List = [None] * nch
-        self._zeros = bytes(nch)
-        self._aflags = bytearray(b"\x01" * schedule.n_occ)
-        self._kflags = bytearray(schedule.n_units)
-        self._quiet = False
         self.cycle = 0
         self.total_fires = 0
         self._idle_cycles = 0
         self._mrd = [m.read for m in self.memories]
         self._mwr = [m.write for m in self.memories]
-
-        self._slot_of: Dict[str, int] = {
-            n: i for i, n in enumerate(schedule.names)
-        }
 
         # Mask-mode (MIMD) state; populated by ``_promote``.
         self._mv: Optional[List[int]] = None
@@ -220,14 +175,10 @@ class BatchedEngine:
         self._fa = 0
         self._mask_loop = None
 
-        source = generate_source(circuit, schedule, lanes=True)
-        self.codegen_key = source_key(source)
-        ns, origin = load_module(source, key=self.codegen_key)
-        #: How the laned module was obtained: ``"generated"``, ``"disk"``
-        #: or ``"memory"`` (counted in ``CODEGEN_STATS`` like scalar ones).
-        self.codegen_origin = origin
-        self._ns = ns
-        self._loop = ns["make_loop"](self)
+        self._ns = bind_loop_state(self, circuit, lanes=True)
+        for u in self._units:
+            u.reset()
+        self._loop = self._ns["make_loop"](self)
 
     # ------------------------------------------------------- per-lane views
     @property
@@ -293,37 +244,22 @@ class BatchedEngine:
         done_lane: Callable[[int], bool],
         max_cycles: int,
     ) -> List[int]:
-        while True:
-            budget = max(max_cycles - self.cycle, 0) + 1
-            status, _ = self._mask_loop(
-                budget, done_lane, max_cycles, self.deadlock_window
-            )
-            if status == 1:
-                return list(self.lane_cycles)
-            self._raise_status(status, max_cycles)
+        status = run_generated(self, self._mask_loop, done_lane, max_cycles)
+        self._raise_stopped(status, max_cycles)
+        return list(self.lane_cycles)
 
-    def _raise_status(self, status: int, max_cycles: int) -> None:
-        """Raise the scalar engines' error for a loop exit status."""
-        if status == 2:
-            valid, ready, where = self.valid, self.ready, ""
-            if self._masked:
-                liv = self._live
-                valid = bytearray(1 if m & liv else 0 for m in self._mv)
-                ready = bytearray(1 if m & liv else 0 for m in self._mr)
-                where = f" across the {liv.bit_count()} live lane(s)"
-            blocked = diagnose(self.circuit, valid, ready)
-            raise DeadlockError(
-                f"deadlock at cycle {self.cycle}: no activity for "
-                f"{self._idle_cycles} cycles{where}\n  "
-                + "\n  ".join(blocked),
-                cycle=self.cycle,
-                blocked=blocked,
+    def _raise_stopped(self, status: int, max_cycles: int) -> None:
+        """:func:`~repro.sim.engine.raise_stopped`, over the live lanes'
+        control bits once the batch runs in mask mode."""
+        view = {}
+        if self._masked:
+            liv = self._live
+            view = dict(
+                valid=bytearray(1 if m & liv else 0 for m in self._mv),
+                ready=bytearray(1 if m & liv else 0 for m in self._mr),
+                where=f" across the {liv.bit_count()} live lane(s)",
             )
-        if status == 3:
-            raise SimulationError(
-                f"simulation exceeded {max_cycles} cycles without "
-                f"completing ({self.total_fires} transfers so far)"
-            )
+        raise_stopped(self, status, max_cycles, **view)
 
     def run_lanes(
         self,
@@ -386,22 +322,15 @@ class BatchedEngine:
                     )
                 return False
 
-        while True:
-            budget = max(max_cycles - self.cycle, 0) + 1
-            status, _ = self._loop(
-                budget, done, max_cycles, self.deadlock_window,
-                None, None,
-            )
-            if status == 1:
-                break
-            if status == 4:
-                exc = self._divergence
-                if exc is not None and exc.cycle is None:
-                    exc.cycle = self.cycle
-                self.divergence = exc
-                self._promote()
-                return self._run_masked(done_lane, max_cycles)
-            self._raise_status(status, max_cycles)
+        status = run_generated(self, self._loop, done, max_cycles, None, None)
+        if status == 4:
+            exc = self._divergence
+            if exc is not None and exc.cycle is None:
+                exc.cycle = self.cycle
+            self.divergence = exc
+            self._promote()
+            return self._run_masked(done_lane, max_cycles)
+        self._raise_stopped(status, max_cycles)
 
         self.done_mask = full
         self.lane_cycles = [self.cycle] * self.lanes

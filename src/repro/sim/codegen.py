@@ -50,7 +50,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from ..circuit import (
     ArbiterMerge,
@@ -64,7 +64,7 @@ from ..circuit import (
     Sink,
     StorePort,
 )
-from ..errors import CircuitError, DeadlockError, LaneDivergence, SimulationError
+from ..errors import CircuitError, LaneDivergence, SimulationError
 from .codegen_blocks import (
     CARRY_TYPES,
     EVAL_BLOCKS,
@@ -78,8 +78,7 @@ from .codegen_blocks import (
     mask_local,
     mask_obj_names,
 )
-from .deadlock import diagnose
-from .engine import DEFAULT_DEADLOCK_WINDOW, BaseEngine
+from .engine import DEFAULT_DEADLOCK_WINDOW, BaseEngine, raise_stopped
 
 if TYPE_CHECKING:
     from .sanitize import HandshakeSanitizer
@@ -761,6 +760,47 @@ def load_module(source: str, key: Optional[str] = None) -> Tuple[dict, str]:
     return ns, origin
 
 
+def bind_loop_state(rt, circuit: DataflowCircuit, lanes: bool = False) -> dict:
+    """The set-up :class:`CodegenEngine` and the laned
+    :class:`~repro.sim.batched.BatchedEngine` share: bind on ``rt`` the
+    schedule, units, signal arrays and activation flags ``make_loop(rt)``
+    reads, load the module and record its ``codegen_key`` and
+    ``codegen_origin`` (``"generated"``/``"disk"``/``"memory"``).
+    Returns the module namespace; the caller resets its units."""
+    schedule = compile_schedule(circuit)
+    rt.schedule = schedule
+    rt._units = [circuit.units[n] for n in schedule.names]
+    rt._slot_of = {n: i for i, n in enumerate(schedule.names)}
+    nch = schedule.nch
+    rt.valid = bytearray(nch)
+    rt.ready = bytearray(nch)
+    rt.fired = bytearray(nch)
+    rt.data = [None] * nch
+    rt._zeros = bytes(nch)
+    rt._aflags = bytearray(b"\x01" * schedule.n_occ)
+    rt._kflags = bytearray(schedule.n_units)
+    rt._quiet = False
+    source = generate_source(circuit, schedule, lanes=lanes)
+    rt.codegen_key = source_key(source)
+    ns, rt.codegen_origin = load_module(source, key=rt.codegen_key)
+    return ns
+
+
+def run_generated(rt, loop, done, max_cycles: int, *extra) -> int:
+    """Call a generated ``loop`` of ``rt`` until it stops; return why.
+
+    ``1``: ``done`` held; ``2``: deadlock window exceeded; ``3``:
+    ``max_cycles`` reached; ``4``: lanes diverged (laned lockstep loop).
+    Status ``0`` only means the cycle budget ran out (possible when the
+    run started beyond ``max_cycles``), and the loop is called again.
+    """
+    status = 0
+    while status == 0:
+        budget = max(max_cycles - rt.cycle, 0) + 1
+        status, _ = loop(budget, done, max_cycles, rt.deadlock_window, *extra)
+    return status
+
+
 # ---------------------------------------------------------------------------
 # The engine.
 # ---------------------------------------------------------------------------
@@ -789,38 +829,8 @@ class CodegenEngine(BaseEngine):
         self._init_common(
             circuit, memory, trace, deadlock_window, None, sanitize
         )
-
-        schedule = compile_schedule(circuit)
-        self.schedule = schedule
-        units = [circuit.units[n] for n in schedule.names]
-        self._units = units
-        self._slot_of: Dict[str, int] = {
-            n: i for i, n in enumerate(schedule.names)
-        }
-
-        nch = schedule.nch
-        self._nch = nch
-        self.valid = bytearray(nch)
-        self.ready = bytearray(nch)
-        self.fired = bytearray(nch)
-        self.data: List = [None] * nch
-        self._zeros = bytes(nch)
-        self._aflags = bytearray(b"\x01" * schedule.n_occ)
-        self._kflags = bytearray(schedule.n_units)
-        self._quiet = False
-        #: The codegen backend never falls back to generic evaluation —
-        #: it raises instead — so this mirror of the compiled backend's
-        #: attribute is always empty.
-        self.generic_units: List[str] = []
-
-        self._reset_units(units)
-
-        source = generate_source(circuit, schedule)
-        self.codegen_key = source_key(source)
-        ns, origin = load_module(source, key=self.codegen_key)
-        #: How the generated module was obtained: ``"generated"``,
-        #: ``"disk"`` or ``"memory"``.
-        self.codegen_origin = origin
+        ns = bind_loop_state(self, circuit)
+        self._reset_units(self._units)
         self._loop = ns["make_loop"](self)
 
     # ------------------------------------------------------------------ step
@@ -842,38 +852,11 @@ class CodegenEngine(BaseEngine):
         return self.total_fires - before
 
     # ------------------------------------------------------------------- run
-    def _raise_status(self, status: int, max_cycles: int) -> None:
-        """Raise the BaseEngine-equivalent error for a loop exit status."""
-        if status == 2:
-            blocked = diagnose(self.circuit, self.valid, self.ready)
-            raise DeadlockError(
-                f"deadlock at cycle {self.cycle}: no activity for "
-                f"{self._idle_cycles} cycles\n  " + "\n  ".join(blocked),
-                cycle=self.cycle,
-                blocked=blocked,
-            )
-        if status == 3:
-            raise SimulationError(
-                f"simulation exceeded {max_cycles} cycles without "
-                f"completing ({self.total_fires} transfers so far)"
-            )
-
     def run(self, done, max_cycles: int = 1_000_000) -> int:
         """Run until ``done()`` holds; same contract as BaseEngine.run."""
         trace = self.trace
         rec = trace.record if trace is not None and trace.active else None
-        san = self.sanitizer
-        while True:
-            budget = max(max_cycles - self.cycle, 0) + 1
-            status, _ = self._loop(
-                budget, done, max_cycles, self.deadlock_window, san, rec
-            )
-            if status == 1:
-                break
-            self._raise_status(status, max_cycles)
-            # status 0: budget exhausted before any terminal condition
-            # (possible only when cycle started beyond max_cycles); loop.
-        if san is not None:
-            san.finish()
-            san.raise_if_violations()
-        return self.cycle
+        status = run_generated(self, self._loop, done, max_cycles,
+                               self.sanitizer, rec)
+        raise_stopped(self, status, max_cycles)
+        return self._finish_run()

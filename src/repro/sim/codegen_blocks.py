@@ -70,7 +70,7 @@ def _fire_flag(c) -> str:
     return f"fg{c // GROUP} = 1"
 
 
-def _fwd_change(sched, co, extra_cond=None) -> List[str]:
+def _fwd_change(sched, co) -> List[str]:
     """Standard forward-signal change detection for channel ``co``.
 
     Assumes the new value/data are in ``nv``/``nd``.

@@ -46,6 +46,35 @@ from .trace import Trace
 #: latency without firing a channel).
 DEFAULT_DEADLOCK_WINDOW = 96
 
+#: Run-loop exit statuses that end a run with an error (the generated
+#: loops of :mod:`repro.sim.codegen` return them as 2 and 3).
+DEADLOCKED, OUT_OF_CYCLES = 2, 3
+
+
+def raise_stopped(engine, status: int, max_cycles: int, valid=None,
+                  ready=None, where: str = "") -> None:
+    """Raise the error for a run that stopped with ``status``; any other
+    status returns.
+
+    The one place every engine formats its deadlock and cycle-limit
+    errors.  The mask-lane loop passes its live lanes' ``valid``/``ready``
+    view and a ``where`` note in place of ``engine``'s own arrays.
+    """
+    if status == DEADLOCKED:
+        blocked = diagnose(engine.circuit, valid or engine.valid,
+                           ready or engine.ready)
+        raise DeadlockError(
+            f"deadlock at cycle {engine.cycle}: no activity for "
+            f"{engine._idle_cycles} cycles{where}\n  " + "\n  ".join(blocked),
+            cycle=engine.cycle,
+            blocked=blocked,
+        )
+    if status == OUT_OF_CYCLES:
+        raise SimulationError(
+            f"simulation exceeded {max_cycles} cycles without "
+            f"completing ({engine.total_fires} transfers so far)"
+        )
+
 
 class BaseEngine:
     """Common harness shared by the event-driven and compiled backends.
@@ -141,19 +170,14 @@ class BaseEngine:
         """
         while not done():
             if self.cycle >= max_cycles:
-                raise SimulationError(
-                    f"simulation exceeded {max_cycles} cycles without "
-                    f"completing ({self.total_fires} transfers so far)"
-                )
+                raise_stopped(self, OUT_OF_CYCLES, max_cycles)
             self.step()
             if self._idle_cycles >= self.deadlock_window:
-                blocked = diagnose(self.circuit, self.valid, self.ready)
-                raise DeadlockError(
-                    f"deadlock at cycle {self.cycle}: no activity for "
-                    f"{self._idle_cycles} cycles\n  " + "\n  ".join(blocked),
-                    cycle=self.cycle,
-                    blocked=blocked,
-                )
+                raise_stopped(self, DEADLOCKED, max_cycles)
+        return self._finish_run()
+
+    def _finish_run(self) -> int:
+        """End-of-run sanitizer checks; returns the cycle count."""
         if self.sanitizer is not None:
             # End-of-run conservation checks, then fail loudly if any
             # protocol violation was observed along the way.

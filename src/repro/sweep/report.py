@@ -12,13 +12,15 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Callable, Dict, List, Optional, TextIO
 
 from .runner import SweepOutcome, SweepRecord
 
+#: CSV columns, in order.  :func:`record_csv_row` looks each name up on
+#: the job, then the record, then the result.
 CSV_HEADERS = [
-    "kernel", "technique", "style", "scale", "size_overrides", "status",
-    "cached", "dsp", "slices", "lut", "ff", "cp_ns", "cycles",
+    "kernel", "technique", "style", "scale", "size_overrides", "seed",
+    "status", "cached", "dsp", "slices", "lut", "ff", "cp_ns", "cycles",
     "exec_time_us", "opt_time_s", "lint_errors", "lint_warnings",
     "predicted_ii", "flow_diags", "mem_class", "memdep_diags",
     "sim_backend", "data_plane", "mask_promotions", "divergence",
@@ -85,25 +87,30 @@ def summarize(outcome: SweepOutcome) -> str:
     return "\n".join(lines)
 
 
+#: Cell formatting for the columns that are not written as they are.
+_CSV_FORMAT: Dict[str, Callable[[Any], Any]] = {
+    "size_overrides": lambda pairs: ",".join(f"{k}={v}" for k, v in pairs),
+    "cached": int,
+    "wall_time_s": lambda t: round(t, 4),
+}
+
+
 def record_csv_row(record: SweepRecord) -> List[Any]:
-    job = record.job
-    res = record.result
-    overrides = ",".join(f"{k}={v}" for k, v in job.size_overrides)
-    metric = (lambda name: getattr(res, name) if res is not None else "")
-    return [
-        job.kernel, job.technique, job.style, job.scale, overrides,
-        record.status, int(record.cached),
-        metric("dsp"), metric("slices"), metric("lut"), metric("ff"),
-        metric("cp_ns"), metric("cycles"), metric("exec_time_us"),
-        metric("opt_time_s"), metric("lint_errors"), metric("lint_warnings"),
-        metric("predicted_ii"), metric("flow_diags"),
-        metric("mem_class"), metric("memdep_diags"),
-        metric("sim_backend"), metric("data_plane"),
-        metric("mask_promotions"), metric("divergence"),
-        res.fu_census if res is not None else "",
-        record.error_type or "", record.error or "",
-        round(record.wall_time_s, 4), record.attempts,
-    ]
+    """One CSV row of :data:`CSV_HEADERS`; a name with no value on the
+    job, the record or the result (a failed job has no result) is an
+    empty cell."""
+    row: List[Any] = []
+    for name in CSV_HEADERS:
+        value = next(
+            (v for source in (record.job, record, record.result)
+             if (v := getattr(source, name, None)) is not None),
+            None,
+        )
+        if value is None:
+            row.append("")
+        else:
+            row.append(_CSV_FORMAT.get(name, lambda v: v)(value))
+    return row
 
 
 def outcome_to_dict(outcome: SweepOutcome) -> Dict[str, Any]:

@@ -190,3 +190,25 @@ class TestSoundnessGate:
         assert self_store.observed_alias
         assert self_store.witness_addr is not None
         assert self_store.sound  # only *independent* + alias is unsound
+
+
+class TestCLI:
+    def test_analyze_memdep_analyses_each_configuration_once(
+            self, monkeypatch, capsys):
+        """The table reads the lint run's memory-dependence report
+        instead of analysing the kernel a second time."""
+        import repro.analysis.memdep as memdep
+        from repro.cli import main
+
+        calls = []
+        real = memdep.analyze_kernel
+
+        def counting(kernel, *args, **kwargs):
+            calls.append(kernel.name)
+            return real(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(memdep, "analyze_kernel", counting)
+        assert main(["analyze", "memdep", "--kernel", "gsum",
+                     "--technique", "crush", "--technique", "naive",
+                     "--no-sim"]) == 0
+        assert calls == ["gsum", "gsum"]

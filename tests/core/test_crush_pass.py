@@ -52,15 +52,13 @@ class TestCrushPass:
     def test_shared_circuit_simulates_correctly(self):
         low, cfcs = prepared("atax")
         crush(low.circuit, cfcs)
-        run = simulate_kernel(low, max_cycles=200000)
-        assert run.checked and not run.mismatches
+        simulate_kernel(low, max_cycles=200000)  # raises on a mismatch
 
     def test_crush_on_fast_token_style(self):
         low, cfcs = prepared("bicg", style="fast-token")
         res = crush(low.circuit, cfcs)
         assert res.shared_groups()
-        run = simulate_kernel(low, max_cycles=200000)
-        assert run.checked
+        simulate_kernel(low, max_cycles=200000)  # raises on a mismatch
 
     def test_no_candidates_is_a_noop(self):
         low, cfcs = prepared("gemm")

@@ -11,8 +11,7 @@ from repro.frontend.kernels import KERNEL_NAMES, build
 def test_fast_token_simulates_and_verifies(name):
     lowered = lower_kernel(build(name, scale="small"), "fast-token")
     place_buffers(lowered.circuit, critical_cfcs(lowered.circuit))
-    run = simulate_kernel(lowered, max_cycles=500_000)
-    assert run.checked
+    simulate_kernel(lowered, max_cycles=500_000)  # raises on a mismatch
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)

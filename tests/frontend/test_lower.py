@@ -191,5 +191,4 @@ class TestMemoryDependencyThreads:
                                                      Load("a", Var("i"))))])])])
         low = lower_kernel(k, "bb")
         place_buffers(low.circuit, critical_cfcs(low.circuit))
-        run = simulate_kernel(low, max_cycles=100000)
-        assert run.checked
+        simulate_kernel(low, max_cycles=100000)  # raises on a mismatch

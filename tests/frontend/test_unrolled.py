@@ -35,8 +35,7 @@ class TestUnrolledGesummv:
         k = gesummv_unrolled(factor=3, n=6)
         low = lower_kernel(k, "bb")
         place_buffers(low.circuit, critical_cfcs(low.circuit))
-        run = simulate_kernel(low, max_cycles=500_000)
-        assert run.checked
+        simulate_kernel(low, max_cycles=500_000)  # raises on a mismatch
 
     def test_crush_respects_r2_capacity(self):
         k = gesummv_unrolled(factor=6, n=6)

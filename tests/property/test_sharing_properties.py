@@ -134,5 +134,4 @@ def test_random_kernel_crush_equivalence(seed, n, style):
     cfcs = critical_cfcs(low.circuit)
     place_buffers(low.circuit, cfcs)
     crush(low.circuit, cfcs)
-    run = simulate_kernel(low, max_cycles=200_000)
-    assert run.checked
+    simulate_kernel(low, max_cycles=200_000)  # raises on a mismatch

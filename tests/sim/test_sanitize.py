@@ -220,7 +220,6 @@ def test_sanitized_runs_are_bit_identical_and_clean(kernel):
         plain = simulate_kernel(prep.lowered, backend=backend,
                                 sanitize=False)
         sane = simulate_kernel(prep.lowered, backend=backend, sanitize=True)
-        assert plain.checked and sane.checked
         assert sane.cycles == plain.cycles
         assert sane.fires == plain.fires
         baseline[backend] = (sane.cycles, sane.fires)
@@ -283,7 +282,6 @@ class TestAliasWatch:
         san = HandshakeSanitizer(prep.circuit, alias_pairs=pairs)
         sane = simulate_kernel(prep.lowered, sanitize=san)
         assert san.ok
-        assert sane.checked and plain.checked
         assert sane.cycles == plain.cycles
         assert sane.fires == plain.fires
         # Every memory port issued addresses — recording really ran.

@@ -5,12 +5,14 @@ import json
 
 from repro.pipeline import TechniqueResult
 from repro.sweep import (
+    CSV_HEADERS,
     ProgressReporter,
     ResultCache,
     SweepJob,
     cache_key,
     code_salt,
     load_outcome,
+    record_csv_row,
     run_sweep,
     summarize,
     write_outputs,
@@ -132,3 +134,48 @@ def test_outcome_json_is_valid_json(tmp_path):
     data = json.loads(paths["json"].read_text())
     assert data["failed"] == 1
     assert len(data["records"]) == 2
+
+
+def test_csv_rows_carry_the_seed_and_keep_their_cells(tmp_path):
+    def worker(job):
+        if job.technique == "naive":
+            raise ValueError("boom")
+        return make_result(seed=job.seed, cycles=400 + job.seed)
+
+    two_seeds = [
+        SweepJob(kernel="gsum", technique="crush", scale="small",
+                 size_overrides=(("n", 8),), seed=s)
+        for s in (7, 11)
+    ]
+    failing = SweepJob(kernel="gsum", technique="naive", scale="small")
+    cache = ResultCache(tmp_path / "cache")
+    cold = run_sweep(two_seeds + [failing], workers=0, retries=0,
+                     worker_fn=worker, cache=cache)
+    warm = run_sweep(two_seeds[:1], workers=0, worker_fn=worker,
+                     cache=cache)
+    rows = [dict(zip(CSV_HEADERS, record_csv_row(r)))
+            for r in cold.records + warm.records]
+
+    assert [(r["seed"], r["cycles"]) for r in rows[:2]] == [(7, 407),
+                                                           (11, 411)]
+    no_result = dict.fromkeys(CSV_HEADERS, "")
+    failed = cold.records[2]
+    assert rows[2] == {
+        **no_result,
+        "kernel": "gsum", "technique": "naive", "style": "bb",
+        "scale": "small", "seed": 7, "status": "failed", "cached": 0,
+        "error_type": "ValueError", "error": "boom",
+        "wall_time_s": round(failed.wall_time_s, 4), "attempts": 1,
+    }
+    assert rows[3] == {
+        "kernel": "gsum", "technique": "crush", "style": "bb",
+        "scale": "small", "size_overrides": "n=8", "seed": 7,
+        "status": "ok", "cached": 1, "dsp": 5, "slices": 588,
+        "lut": 1528, "ff": 1720, "cp_ns": 5.9, "cycles": 407,
+        "exec_time_us": 2.5, "opt_time_s": 0.09, "lint_errors": 0,
+        "lint_warnings": 0, "predicted_ii": "", "flow_diags": 0,
+        "mem_class": "", "memdep_diags": 0, "sim_backend": "compiled",
+        "data_plane": "scalar", "mask_promotions": 0, "divergence": "",
+        "fu_census": "1 fadd 1 fmul", "error_type": "", "error": "",
+        "wall_time_s": 0.0, "attempts": 0,
+    }
