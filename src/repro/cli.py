@@ -67,18 +67,19 @@ def _cmd_run(args) -> int:
         print("error: --seeds with several values needs simulation "
               "(drop --no-sim)", file=sys.stderr)
         return 2
-    if len(seeds) > 1 and args.sanitize:
-        print("error: --sanitize is scalar-only and cannot combine "
-              "with a multi-seed batched run", file=sys.stderr)
+    if len(seeds) > 1 and args.sanitize and (args.lanes or 0) > 1:
+        print("error: --sanitize is scalar-only and cannot drive a lane "
+              f"batch (--lanes {args.lanes}); use --lanes 1 to check the "
+              "seeds one by one", file=sys.stderr)
         return 2
     common = dict(style=args.style, scale=args.scale,
                   sim_backend=args.sim_backend, lint=args.lint)
-    if len(seeds) == 1:
+    if len(seeds) == 1 or args.sanitize:
         batches = [[run_technique(
             args.kernel, args.technique, simulate=not args.no_sim,
-            sanitize=True if args.sanitize else None, seed=seeds[0],
+            sanitize=True if args.sanitize else None, seed=seed,
             **common,
-        )]]
+        )] for seed in seeds]
     else:
         width = args.lanes or len(seeds)
         batches = [
@@ -539,14 +540,15 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("event", "compiled", "codegen"),
                      default=None,
                      help="simulation backend (default: $REPRO_SIM_BACKEND "
-                          "or compiled); all are bit-identical")
+                          "or codegen); all are bit-identical")
     p_r.add_argument("--lint", choices=("off", "warn", "strict"),
                      default="warn",
                      help="static pre-simulation gate (default: warn — "
                           "fail only on error diagnostics)")
     p_r.add_argument("--sanitize", action="store_true",
                      help="assert the handshake protocol on every channel "
-                          "each cycle (also: REPRO_SIM_SANITIZE=1)")
+                          "each cycle (also: REPRO_SIM_SANITIZE=1); several "
+                          "seeds then run seed by seed")
     p_r.add_argument("--seeds", default="7", metavar="N[,N...]",
                      help="input-data seed(s); several seeds run as lanes "
                           "of one batched simulation, one verified table "
@@ -594,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("event", "compiled", "codegen"),
                      default=None,
                      help="simulation backend for every job (default: "
-                          "$REPRO_SIM_BACKEND or compiled)")
+                          "$REPRO_SIM_BACKEND or codegen)")
     p_s.add_argument("--seeds", default="7", metavar="N[,N...]",
                      help="input-data seed(s); the matrix gets one job "
                           "per seed (default: 7)")

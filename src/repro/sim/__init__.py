@@ -12,16 +12,18 @@ semantics:
     rank-ordered evaluation schedule and replays it through specialized
     per-unit closures, with activation gating and a big-integer fire
     scan.  Bit-identical to the event engine (differentially tested)
-    and several times faster, so it is the default.
+    and about twice as fast.  The backend for a :class:`SimProfile` and
+    for circuits with non-catalogue units, which codegen refuses.
 
 ``"codegen"``
     :class:`CodegenEngine` — emits specialized Python source for the
-    whole circuit from the same levelized schedule (one flat cycle loop,
-    unit logic inlined over local variables; no closure calls or dict
-    dispatch on the hot path), ``exec``'d and cached on disk under a
-    content-addressed key.  Bit-identical to both other backends
-    (differentially tested on all goldens and under hypothesis
-    lockstep).  Rejects :class:`SimProfile` with a clear error.
+    whole circuit from the same levelized schedule (unit logic inlined
+    over signal variables; no closure calls or dict dispatch on the hot
+    path), compiled in bounded pieces that run as generators sharing one
+    set of cells, and cached on disk under a content-addressed key.
+    Bit-identical to both other backends (differentially tested on all
+    goldens and under hypothesis lockstep) and the fastest, so it is
+    the default.  Rejects :class:`SimProfile` with a clear error.
 
 Select a backend with :func:`create_engine`, the ``--sim-backend`` CLI
 flag, or the ``REPRO_SIM_BACKEND`` environment variable.  With
@@ -65,7 +67,7 @@ BACKENDS = {
 
 #: Backend used when none is requested explicitly.  Overridable through
 #: the environment so a whole test run can be pinned to one backend.
-DEFAULT_BACKEND = os.environ.get("REPRO_SIM_BACKEND", "compiled")
+DEFAULT_BACKEND = os.environ.get("REPRO_SIM_BACKEND", "codegen")
 
 
 def create_engine(circuit, backend=None, lanes=None, memories=None,

@@ -69,7 +69,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ..circuit import DataflowCircuit
 from ..errors import LaneDivergence, SimulationError
-from .codegen import bind_loop_state, run_generated
+from .codegen import bind_loop_state, link_loop, run_generated
 from .codegen_blocks import mask_state
 from .engine import DEFAULT_DEADLOCK_WINDOW, raise_stopped
 from .memory import Memory
@@ -175,10 +175,12 @@ class BatchedEngine:
         self._fa = 0
         self._mask_loop = None
 
-        self._ns = bind_loop_state(self, circuit, lanes=True)
+        codes = bind_loop_state(self, circuit, lanes=True)
         for u in self._units:
             u.reset()
-        self._loop = self._ns["make_loop"](self)
+        fns = link_loop(self, codes, lanes=lanes)
+        self._loop = fns["loop"]
+        self._make_mask_loop = fns["make_mask_loop"]
 
     # ------------------------------------------------------- per-lane views
     @property
@@ -237,7 +239,7 @@ class BatchedEngine:
         if self.promotion_cycle is None:
             self.promotion_cycle = self.cycle
         self._masked = True
-        self._mask_loop = self._ns["make_mask_loop"](self)
+        self._mask_loop = self._make_mask_loop(self)
 
     def _run_masked(
         self,

@@ -57,17 +57,14 @@ from ..circuit import (
 GROUP = 8
 
 
-def _acts(sched, node_acts) -> List[str]:
-    """Activation stores for one signal change: static ``a{k} = 1`` lines
-    plus the group-activity flags covering them."""
-    lines = [f"ga{g} = 1" for g in sorted({k // GROUP for k in node_acts})]
-    lines += [f"a{k} = 1" for k in node_acts]
-    return lines
-
-
-def _fire_flag(c) -> str:
-    """Fire-scan group flag store for a write to channel ``c``'s signals."""
-    return f"fg{c // GROUP} = 1"
+def _arm(sched, c, node_acts) -> str:
+    """One chained store for a write to channel ``c``'s signals: its
+    fire-scan group flag, the activation flags ``a{k}`` of ``node_acts``
+    and the group-activity flags covering them."""
+    names = [f"fg{c // GROUP}"]
+    names += [f"ga{g}" for g in sorted({k // GROUP for k in node_acts})]
+    names += [f"a{k}" for k in node_acts]
+    return " = ".join(names) + " = 1"
 
 
 def _fwd_change(sched, co) -> List[str]:
@@ -76,8 +73,8 @@ def _fwd_change(sched, co) -> List[str]:
     Assumes the new value/data are in ``nv``/``nd``.
     """
     lines = [f"if v{co} != nv or d{co} != nd:"]
-    lines += [f"    v{co} = nv", f"    d{co} = nd", f"    {_fire_flag(co)}"]
-    lines += [f"    {s}" for s in _acts(sched, sched.f_act[co])]
+    lines += [f"    v{co} = nv", f"    d{co} = nd",
+              f"    {_arm(sched, co, sched.f_act[co])}"]
     return lines
 
 
@@ -87,8 +84,7 @@ def _bwd_change(sched, ci) -> List[str]:
     Assumes the new ready value is in ``nr``.
     """
     lines = [f"if r{ci} != nr:"]
-    lines += [f"    r{ci} = nr", f"    {_fire_flag(ci)}"]
-    lines += [f"    {s}" for s in _acts(sched, sched.b_act[ci])]
+    lines += [f"    r{ci} = nr", f"    {_arm(sched, ci, sched.b_act[ci])}"]
     return lines
 
 
@@ -147,10 +143,9 @@ def eval_credit_counter(s, u, ic, oc, sched) -> List[str]:
     ci, co = ic[0], oc[0]
     lines = [f"nv = 1 if u{s}._count > 0 else 0"]
     lines += [f"if v{co} != nv:", f"    v{co} = nv",
-              f"    {_fire_flag(co)}"]
-    lines += [f"    {x}" for x in _acts(sched, sched.f_act[co])]
-    lines += [f"if not r{ci}:", f"    r{ci} = 1", f"    {_fire_flag(ci)}"]
-    lines += [f"    {x}" for x in _acts(sched, sched.b_act[ci])]
+              f"    {_arm(sched, co, sched.f_act[co])}"]
+    lines += [f"if not r{ci}:", f"    r{ci} = 1",
+              f"    {_arm(sched, ci, sched.b_act[ci])}"]
     return lines
 
 
@@ -172,8 +167,8 @@ def eval_sequence(s, u, ic, oc, sched) -> List[str]:
 
 def eval_sink(s, u, ic, oc, sched) -> List[str]:
     ci = ic[0]
-    lines = [f"if not r{ci}:", f"    r{ci} = 1", f"    {_fire_flag(ci)}"]
-    lines += [f"    {x}" for x in _acts(sched, sched.b_act[ci])]
+    lines = [f"if not r{ci}:", f"    r{ci} = 1",
+             f"    {_arm(sched, ci, sched.b_act[ci])}"]
     return lines
 
 
@@ -424,8 +419,8 @@ def eval_store_port(s, u, ic, oc, sched) -> List[str]:
     lines += ["if head is not None:", "    nv = 1", f"    adv = r{co}",
               "else:", "    nv = 0", "    adv = True"]
     lines += [f"if v{co} != nv or d{co} is not None:",
-              f"    v{co} = nv", f"    d{co} = None", f"    {_fire_flag(co)}"]
-    lines += [f"    {x}" for x in _acts(sched, sched.f_act[co])]
+              f"    v{co} = nv", f"    d{co} = None",
+              f"    {_arm(sched, co, sched.f_act[co])}"]
     lines += [f"av = v{ca}", f"dv = v{cd}"]
     lines += ["nr = adv and dv"]
     lines += _bwd_change(sched, ca)
@@ -1098,11 +1093,10 @@ def mask_eval_transparent_fifo(s, u, ic, oc, sched) -> List[str]:
 def mask_eval_credit_counter(s, u, ic, oc, sched) -> List[str]:
     ci, co = ic[0], oc[0]
     lines = [f"nv = cz{s}"]
-    lines += [f"if v{co} != nv:", f"    v{co} = nv", f"    {_fire_flag(co)}"]
-    lines += [f"    {x}" for x in _acts(sched, sched.f_act[co])]
+    lines += [f"if v{co} != nv:", f"    v{co} = nv",
+              f"    {_arm(sched, co, sched.f_act[co])}"]
     lines += [f"if r{ci} != FULL:", f"    r{ci} = FULL",
-              f"    {_fire_flag(ci)}"]
-    lines += [f"    {x}" for x in _acts(sched, sched.b_act[ci])]
+              f"    {_arm(sched, ci, sched.b_act[ci])}"]
     return lines
 
 
@@ -1123,8 +1117,7 @@ def mask_eval_sequence(s, u, ic, oc, sched) -> List[str]:
 def mask_eval_sink(s, u, ic, oc, sched) -> List[str]:
     ci = ic[0]
     lines = [f"if r{ci} != FULL:", f"    r{ci} = FULL",
-             f"    {_fire_flag(ci)}"]
-    lines += [f"    {x}" for x in _acts(sched, sched.b_act[ci])]
+             f"    {_arm(sched, ci, sched.b_act[ci])}"]
     return lines
 
 
@@ -1402,8 +1395,7 @@ def mask_eval_store_port(s, u, ic, oc, sched) -> List[str]:
     co = oc[0]
     lines = [f"nv = hv{s}"]
     lines += [f"if v{co} != nv:", f"    v{co} = nv", f"    d{co} = ztup",
-              f"    {_fire_flag(co)}"]
-    lines += [f"    {x}" for x in _acts(sched, sched.f_act[co])]
+              f"    {_arm(sched, co, sched.f_act[co])}"]
     lines += [f"advm = r{co} | (FULL & ~hv{s})"]
     lines += [f"nr = advm & v{cd}"]
     lines += _bwd_change(sched, ca)

@@ -405,7 +405,8 @@ def test_profile_cli_rejects_lanes_with_exit_2(capsys):
 def test_run_cli_rejects_observers_with_multi_seed_batch(capsys):
     from repro.cli import main
 
-    rc = main(["run", "atax", "crush", "--seeds", "7,11", "--sanitize"])
+    rc = main(["run", "atax", "crush", "--seeds", "7,11", "--sanitize",
+               "--lanes", "2"])
     assert rc == 2
     assert "scalar-only" in capsys.readouterr().err
 

@@ -1,15 +1,20 @@
 """Differential and cache tests for the specializing codegen backend.
 
-The codegen backend (`repro.sim.codegen`) emits one flat specialized
-Python module per circuit structure and must stay *bit-identical* to
-the event-driven oracle — same cycle counts, same per-channel firing
-traces, same final memory and sink state — on golden kernels (covered
-three-ways in test_compiled.py) and on randomized circuits in lockstep.
-Also covered here: the
-content-addressed generated-module cache (in-process, disk, and salted
-invalidation), the observer restrictions, and the CLI's clean error
-exits for unsupported combinations.
+The codegen backend (`repro.sim.codegen`) emits one specialized Python
+module per circuit structure, compiled in bounded pieces, and must stay
+*bit-identical* to the event-driven oracle — same cycle counts, same
+per-channel firing traces, same final memory and sink state — on golden
+kernels (covered three-ways in test_compiled.py) and on randomized
+circuits in lockstep.  Also covered here: the content-addressed
+generated-module cache (in-process, disk, and salted invalidation), the
+piece budget and the cells the pieces share, the observer restrictions,
+and the CLI's clean error exits for unsupported combinations.
 """
+
+import dis
+import gc
+import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +33,7 @@ from repro.circuit import (
 )
 from repro.errors import SimulationError
 from repro.sim import SimProfile, Trace, create_engine
-from repro.sim.codegen import CodegenEngine, load_module
+from repro.sim.codegen import CodegenEngine
 from repro.sim.signal_graph import compile_schedule
 
 
@@ -209,7 +214,7 @@ def test_module_cache_origins(codegen_cache):
     # The source is published next to the bytecode for inspection.
     py = list(codegen_cache.rglob("*.py"))
     assert len(py) == 1 and e1.codegen_key in py[0].name
-    assert "def make_loop" in py[0].read_text()
+    assert "def loop(" in py[0].read_text()
 
 
 def test_salted_source_change_invalidates_cache(codegen_cache, monkeypatch):
@@ -258,3 +263,86 @@ def test_schedule_memoized_across_engines_and_backends():
     e_compiled = create_engine(c1, backend="compiled")
     e_codegen = create_engine(c2, backend="codegen")
     assert e_codegen.schedule is s1
+
+
+# ---------------------------------------------------------------------------
+# pieces: bounded compile units sharing one set of cells
+
+#: Names the pieces share through cells.  A piece that assigned one
+#: without declaring it ``nonlocal`` (a plain local) or read one it does
+#: not bind (a global) would silently desynchronize the pieces.
+CELL_NAME = re.compile(
+    r"(?:v|r|d|a|ga|fg|t|tb|tg|tgb|k|adv)\d+|kany|fires|ticked|cycle|_rec"
+)
+
+
+def _leaked_cell_names(circuit, lanes=False):
+    import repro.sim.codegen as cg
+
+    pieces = cg.generate_pieces(circuit, compile_schedule(circuit),
+                                lanes=lanes)
+    leaks = {}
+    for code in (cg._compile_piece(p, "<piece>") for p in pieces):
+        if code.co_name == "make_mask_loop":
+            continue  # one function over its own locals
+        globals_ = [i.argval for i in dis.get_instructions(code)
+                    if i.opname in ("LOAD_GLOBAL", "STORE_GLOBAL")]
+        names = [n for n in globals_ + list(code.co_varnames)
+                 if CELL_NAME.fullmatch(n)]
+        if names:
+            leaks[code.co_name] = names
+    return pieces, leaks
+
+
+def test_paper_scale_3mm_compiles_in_pieces_within_budget():
+    import repro.sim.codegen as cg
+    from repro.pipeline import prepare_circuit
+
+    circuit = prepare_circuit("3mm", "crush", scale="paper").circuit
+    pieces, leaks = _leaked_cell_names(circuit)
+    # One compile() call per piece, none larger than the budget.
+    assert len(pieces) > 1
+    assert max(len(p) for p in pieces) <= cg.PIECE_BUDGET
+    assert leaks == {}
+
+
+def test_laned_pieces_bind_every_shared_name_to_a_cell():
+    from repro.pipeline import prepare_circuit
+
+    circuit = prepare_circuit("gsumif", "crush", scale="small").circuit
+    _pieces, leaks = _leaked_cell_names(circuit, lanes=True)
+    assert leaks == {}
+
+
+def test_one_group_per_piece_stays_bit_identical(codegen_cache,
+                                                 monkeypatch):
+    """With every group in a piece of its own, signals and flags cross a
+    piece boundary at every group: the lockstep and golden differentials
+    then check that the pieces share one set of cells."""
+    import repro.sim.codegen as cg
+    from tests.sim import test_compiled
+
+    circuit = _streaming_circuit(4)
+    schedule = compile_schedule(circuit)
+    default = len(cg.generate_pieces(circuit, schedule))
+    monkeypatch.setattr(cg, "PIECE_BUDGET", 1)
+    assert len(cg.generate_pieces(circuit, schedule)) > default
+    test_random_pipelines_lockstep_event_codegen()
+    test_random_fork_join_lockstep_event_codegen()
+    for kernel, technique in (("gsumif", "crush"), ("atax", "inorder")):
+        test_compiled.test_backends_bit_identical_on_goldens(kernel,
+                                                             technique)
+
+
+def test_finished_engine_is_freed_without_the_cyclic_gc():
+    c = _streaming_circuit(4)
+    sink = c.units["out"]
+    engine = create_engine(c, backend="codegen")
+    engine.run(lambda: sink.count >= 4, max_cycles=10_000)
+    ref = weakref.ref(engine)
+    gc.disable()
+    try:
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()

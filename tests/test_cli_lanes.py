@@ -60,3 +60,17 @@ def test_sweep_seed_by_seed_rows_equal_scalar_rows(tmp_path, capsys, lanes):
 def test_lanes_must_be_positive(capsys):
     assert main(["run", "gsumif", "--seeds", "7,11", "--lanes", "0"]) == 2
     assert main(["sweep", "--kernel", "gsumif", "--lanes", "0"]) == 2
+
+
+def test_run_sanitizes_several_seeds_seed_by_seed(capsys):
+    assert main(["run", "atax", "crush", "--scale", "small",
+                 "--seeds", "7,8", "--sanitize"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("(verified against reference)") == 2
+    assert "execution   : seed by seed" in out
+
+
+def test_run_refuses_sanitize_with_lane_batches(capsys):
+    assert main(["run", "atax", "crush", "--scale", "small",
+                 "--seeds", "7,8", "--sanitize", "--lanes", "2"]) == 2
+    assert "--lanes 1" in capsys.readouterr().err
