@@ -20,11 +20,15 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import numpy as np
-import scipy.optimize  # imported eagerly so solver warm-up never pollutes
-                       # the measured optimization times  # noqa: F401
 
 from ..errors import AnalysisError
 from .cfc import CFC
+
+
+def load_solver() -> None:
+    """Import the LP solver now.  Its first import costs about half a
+    second, so callers that time optimization call this beforehand."""
+    import scipy.optimize  # noqa: F401
 
 
 def slack_lp(cfc: CFC) -> Dict[int, float]:

@@ -86,7 +86,7 @@ def find_tokenless_cycle(edges: Sequence[WeightedEdge]) -> Optional[List[Node]]:
     nodes, adj = _adjacency(edges)
     if not nodes:
         return None
-    found = _positive_cycle(adj, Fraction(0), tokenless_only=True)
+    found = positive_cycle(adj, Fraction(0), tokenless_only=True)
     if found is None:
         return None
     return [nodes[i] for i in found[0]]
@@ -150,7 +150,7 @@ def max_cycle_ratio(edges: Sequence[WeightedEdge]) -> IIResult:
     if not nodes:
         return IIResult(Fraction(1), [])
 
-    zero_cycle = _positive_cycle(adj, Fraction(0), tokenless_only=True)
+    zero_cycle = positive_cycle(adj, Fraction(0), tokenless_only=True)
     if zero_cycle is not None:
         names = [str(nodes[i]) for i in zero_cycle[0]]
         raise AnalysisError(
@@ -161,7 +161,7 @@ def max_cycle_ratio(edges: Sequence[WeightedEdge]) -> IIResult:
     bound = Fraction(1)
     critical: List[Node] = []
     for _ in range(10_000):
-        found = _positive_cycle(adj, bound)
+        found = positive_cycle(adj, bound)
         if found is None:
             return IIResult(bound, critical)
         cyc, lat, tok = found
@@ -176,7 +176,7 @@ def max_cycle_ratio(edges: Sequence[WeightedEdge]) -> IIResult:
     raise AnalysisError("max-cycle-ratio iteration failed to converge")
 
 
-def _positive_cycle(
+def positive_cycle(
     adj: List[List[Tuple[int, int, int]]],
     lam: Fraction,
     tokenless_only: bool = False,
@@ -195,6 +195,8 @@ def _positive_cycle(
     ``q`` times the rational one, so every ``nd > dist[v]`` comparison —
     and with it the visiting order, the relaxations and the returned
     cycle — is the same as relaxing ``latency - lam*tokens`` exactly.
+    A caller with integer weights of its own (of either sign) passes them
+    as latencies with ``lam = 0``, as lint rule ST007 does.
     """
     n = len(adj)
     p, q = lam.numerator, lam.denominator

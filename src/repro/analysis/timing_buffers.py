@@ -12,6 +12,12 @@ lengthens a feedback cycle and may raise the II, so in-SCC channels are
 avoided; if a path offers no legal cut point, the pass leaves it alone
 (a real flow would accept the slower clock, exactly as the paper reports
 growing CPs for large sharing groups).
+
+An inserted buffer has latency 1, so it never joins a combinational
+chain, and splicing it into a channel keeps every unit's SCC.  One pass
+therefore derives SCC membership, the channel between two units and each
+unit's delay once, however many buffers it inserts; only the longest
+chain is recomputed after every insert.
 """
 
 from __future__ import annotations
@@ -25,9 +31,12 @@ from .scc import strongly_connected_components
 TARGET_CP_NS = 6.0
 
 
-def _comb_paths(circuit: DataflowCircuit) -> Tuple[float, List[str]]:
+def _comb_paths(
+    circuit: DataflowCircuit, delays: Dict[str, float]
+) -> Tuple[float, List[str]]:
     """Longest-chain DP over the combinational subgraph; returns
-    (total delay, path unit list) of the worst chain."""
+    (total delay, path unit list) of the worst chain.  ``delays`` caches
+    each unit's ``comb_delay`` across calls."""
     from ..resources.library import comb_delay
 
     comb = {
@@ -57,14 +66,16 @@ def _comb_paths(circuit: DataflowCircuit) -> Tuple[float, List[str]]:
     tail_delay: Dict[str, float] = {}
     tail_next: Dict[str, Optional[str]] = {}
     for n in reversed(order):
-        u = circuit.units[n]
+        delay = delays.get(n)
+        if delay is None:
+            delay = delays[n] = comb_delay(circuit.units[n])
         nxt = None
         nxt_delay = 0.0
         for s in succ[n]:
             if tail_delay[s] > nxt_delay:
                 nxt_delay = tail_delay[s]
                 nxt = s
-        tail_delay[n] = comb_delay(u) + nxt_delay
+        tail_delay[n] = delay + nxt_delay
         tail_next[n] = nxt
         if tail_delay[n] > best_total:
             best_total = tail_delay[n]
@@ -106,11 +117,18 @@ def insert_timing_buffers(
     inserted: List[str] = []
     budget = max(0.0, target_cp_ns - BASE_PATH_OVERHEAD_NS)
     blocked_paths: Set[Tuple[str, ...]] = set()
+    delays: Dict[str, float] = {}
+    # Built on the first chain over budget, then kept for the whole pass.
+    scc: Dict[str, int] = {}
+    between: Dict[Tuple[str, str], List[Channel]] = {}
     for _ in range(max_inserts):
-        total, path = _comb_paths(circuit)
+        total, path = _comb_paths(circuit, delays)
         if total <= budget or not path or tuple(path) in blocked_paths:
             break
-        scc = _scc_ids(circuit)
+        if not scc:
+            scc = _scc_ids(circuit)
+            for ch in circuit.channels:
+                between.setdefault((ch.src.unit, ch.dst.unit), []).append(ch)
         # Candidate channels along the path, middle-out.
         hops = list(zip(path, path[1:]))
         if not hops:
@@ -120,20 +138,17 @@ def insert_timing_buffers(
         chosen: Optional[Channel] = None
         for i in ordering:
             a, b = hops[i]
-            ch_ab: Optional[Channel] = None
-            for ch in circuit.channels:
-                if ch.src.unit == a and ch.dst.unit == b:
-                    ch_ab = ch
-                    break
-            if ch_ab is None:
+            # The first a -> b channel in ``circuit.channels`` order.
+            chs = between.get((a, b))
+            if not chs:
                 continue
-            if scc[a] == scc[b] and scc[a] >= 0 and ch_ab.width > 1:
+            if scc[a] == scc[b] and scc[a] >= 0 and chs[0].width > 1:
                 # Same SCC on a data channel: registering would stretch an
                 # II-critical cycle.  Control channels (width <= 1) are
                 # exempt — their rings run far below the data II, so one
                 # more register cannot become the bottleneck.
                 continue
-            chosen = ch_ab
+            chosen = chs.pop(0)
             break
         if chosen is None:
             blocked_paths.add(tuple(path))
@@ -145,6 +160,8 @@ def insert_timing_buffers(
                 width_hint=chosen.width,
             )
         )
+        # ``chosen`` now ends at the buffer, and the buffer's new output
+        # channel joins no combinational chain: neither is a hop.
         _splice(circuit, chosen, buf)
         inserted.append(buf.name)
     return inserted

@@ -21,11 +21,12 @@ ST007    saturated cycle: circulating tokens >= total storage capacity on
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
-import networkx as nx
-
+from ..analysis.scc import strongly_connected_components
+from ..analysis.throughput import positive_cycle
 from ..circuit import (
     CreditCounter,
     EagerFork,
@@ -40,9 +41,9 @@ from .registry import LintContext, rule
 
 Emit = Callable[..., None]
 
-#: Simple-cycle enumeration bound per SCC for ST007.  Far above anything
-#: the paper's kernels produce; a pathological hand-built circuit simply
-#: gets partial (still sound) coverage.
+#: Simple-cycle enumeration bound per flagged SCC for ST007's wording.
+#: Far above anything the paper's kernels produce; past it, a component
+#: is still reported, through the positive-cycle test's witness cycle.
 MAX_CYCLES_PER_SCC = 5000
 
 
@@ -236,6 +237,44 @@ def _storage_capacity(u: Unit) -> int:
     return max(0, getattr(u, "latency", 0))
 
 
+def saturated_cycles(
+    succ: Dict[str, List[str]],
+    tokens: Dict[Tuple[str, str], int],
+    capacity: Dict[str, int],
+) -> List[Tuple[List[str], List[str]]]:
+    """``(component, witness)`` for every strongly connected component of
+    ``succ`` holding a cycle whose circulating tokens, one or more, reach
+    its storage (``tokens(C) >= max(1, capacity(C))``); ``witness`` is one
+    such cycle, in edge order.  Tokenless cycles are ST005/ST006's.
+
+    ``succ`` has every node as a key, ``tokens`` maps each of its edges to
+    the tokens on it and ``capacity`` each node to its storage.  One
+    positive-cycle search per component decides it.  With ``m`` one more
+    than the tokens on all of the component's edges, edge ``u -> v``
+    weighs ``m * (tokens(u, v) - capacity(v)) + tokens(u, v)``, so a
+    simple cycle ``C`` weighs ``m * (tokens(C) - capacity(C)) +
+    tokens(C)``.  As ``0 <= tokens(C) < m``, that is positive exactly when
+    ``tokens(C) >= capacity(C)`` and ``tokens(C) >= 1``: a deficit of a
+    token or more outweighs every token, and at equality the tokens alone
+    decide.
+    """
+    found: List[Tuple[List[str], List[str]]] = []
+    for comp in strongly_connected_components(list(succ), succ):
+        if len(comp) == 1 and comp[0] not in succ[comp[0]]:
+            continue  # a lone node without a self-loop is on no cycle
+        idx = {u: i for i, u in enumerate(comp)}
+        edges = [(u, v) for u in comp for v in succ[u] if v in idx]
+        m = 1 + sum(tokens[e] for e in edges)
+        adj: List[List[Tuple[int, int, int]]] = [[] for _ in comp]
+        for u, v in edges:
+            t = tokens[u, v]
+            adj[idx[u]].append((idx[v], m * (t - capacity[v]) + t, 0))
+        hit = positive_cycle(adj, Fraction(0))
+        if hit is not None:
+            found.append((comp, [comp[i] for i in hit[0]]))
+    return found
+
+
 @rule(
     "ST007",
     "saturated-cycle",
@@ -247,10 +286,15 @@ def check_saturated_cycles(ctx: LintContext, emit: Emit) -> None:
     """A directed cycle whose circulating tokens fill (or exceed) its
     total storage capacity is a full ring: every transfer on it needs a
     free slot ahead, so nothing ever fires.  Zero-capacity cycles holding
-    a token are the degenerate case."""
+    a token are the degenerate case.
+
+    :func:`saturated_cycles` finds the components holding such a cycle
+    with tokens on it; only those are searched cycle by cycle, for the
+    wording.  A component whose capped search reports nothing gets the
+    test's witness cycle, which always carries tokens."""
     c = ctx.circuit
-    g = nx.DiGraph()
     tokens: Dict[Tuple[str, str], int] = {}
+    succ: Dict[str, List[str]] = {}
     for ch in c.channels:
         if ch.src.unit not in c.units or ch.dst.unit not in c.units:
             continue  # ST001's problem
@@ -262,29 +306,51 @@ def check_saturated_cycles(ctx: LintContext, emit: Emit) -> None:
             tokens[key] = min(tokens[key], t)
         else:
             tokens[key] = t
-            g.add_edge(*key)
-    reported = set()
-    for scc in nx.strongly_connected_components(g):
-        if len(scc) == 1:
-            node = next(iter(scc))
-            if not g.has_edge(node, node):
+            succ.setdefault(key[0], []).append(key[1])
+            succ.setdefault(key[1], [])
+    capacity = {n: _storage_capacity(c.units[n]) for n in succ}
+    for comp, witness in saturated_cycles(succ, tokens, capacity):
+        import networkx as nx  # only a flagged component needs it
+
+        members = set(comp)
+        nodes = [n for n in succ if n in members]
+        sub = nx.DiGraph()
+        sub.add_nodes_from(nodes)
+        sub.add_edges_from(
+            (u, v) for u in nodes for v in succ[u] if v in members
+        )
+        cycles = islice(nx.simple_cycles(sub), MAX_CYCLES_PER_SCC)
+        for message, anchor in _describe_saturated(
+            cycles, tokens, capacity
+        ) or _describe_saturated([witness], tokens, capacity):
+            emit(message, unit=anchor)
+
+
+def _describe_saturated(
+    cycles: Iterable[List[str]],
+    tokens: Dict[Tuple[str, str], int],
+    capacity: Dict[str, int],
+) -> List[Tuple[str, str]]:
+    """``(message, anchor unit)`` per distinct token-carrying saturated
+    cycle of ``cycles``.  Tokenless ones are left to ST005/ST006."""
+    found: List[Tuple[str, str]] = []
+    reported: Set[Tuple[str, int, int]] = set()
+    for cyc in cycles:
+        pairs = list(zip(cyc, cyc[1:] + cyc[:1]))
+        total = sum(tokens[p] for p in pairs)
+        if total == 0:
+            continue  # ST005/ST006 territory
+        cap = sum(capacity[n] for n in cyc)
+        if total >= cap:
+            anchor = min(cyc)
+            sig = (anchor, total, cap)
+            if sig in reported:
                 continue
-        sub = g.subgraph(scc)
-        for cyc in islice(nx.simple_cycles(sub), MAX_CYCLES_PER_SCC):
-            pairs = list(zip(cyc, cyc[1:] + cyc[:1]))
-            total = sum(tokens[p] for p in pairs)
-            if total == 0:
-                continue  # ST005/ST006 territory
-            capacity = sum(_storage_capacity(c.units[n]) for n in cyc)
-            if total >= capacity:
-                anchor = min(cyc)
-                sig = (anchor, total, capacity)
-                if sig in reported:
-                    continue
-                reported.add(sig)
-                emit(
-                    f"cycle {' -> '.join(cyc)} -> (repeats) is saturated: "
-                    f"{total} circulating token(s) but only {capacity} "
-                    "slot(s) of storage; no transfer on it can ever fire",
-                    unit=anchor,
-                )
+            reported.add(sig)
+            found.append((
+                f"cycle {' -> '.join(cyc)} -> (repeats) is saturated: "
+                f"{total} circulating token(s) but only {cap} "
+                "slot(s) of storage; no transfer on it can ever fire",
+                anchor,
+            ))
+    return found

@@ -32,6 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from ..analysis.lp_sizing import load_solver
 from ..pipeline import TechniqueResult, run_technique, run_technique_batch
 from .cache import ResultCache
 from .job import SweepJob
@@ -445,6 +446,9 @@ def _run_pool(
     ctx = _mp_context()
     pending = queue.pending
     running: List[_Running] = []
+    if pending:
+        # Forked children inherit the solver instead of each importing it.
+        load_solver()
 
     def spawn(task: Task, attempt: int, spent: float) -> _Running:
         parent_conn, child_conn = ctx.Pipe(duplex=False)

@@ -172,3 +172,112 @@ class TestTimingBuffers:
         inserted = insert_timing_buffers(c, target_cp_ns=0.5)
         # Whatever was inserted, the circuit stays valid.
         c.validate()
+
+    @pytest.mark.parametrize("technique", ["naive", "crush"])
+    def test_matches_the_pass_that_rederives_every_fact(self, technique):
+        """SCC ids, the channel index and unit delays are derived once
+        per pass; the reference re-derives them after every insert.  Both
+        must insert the same buffers, named alike, in the same channels,
+        in the same order — including once paths get blocked, and on
+        parallel channels, which are cut first to last."""
+        from repro.frontend.kernels import KERNEL_NAMES
+        from repro.pipeline import prepare_circuit
+
+        def kernel(name):
+            return prepare_circuit(name, technique, scale="small").circuit
+
+        builds = [(k, lambda k=k: kernel(k)) for k in KERNEL_NAMES]
+        for name, build in builds + [("twin", twin_channel_chain)]:
+            fast, ref = build(), build()
+            for target in (4.0, 3.0):
+                assert insert_timing_buffers(fast, target) == (
+                    _reference_timing_buffers(ref, target)
+                ), (name, target)
+                assert _wiring(fast) == _wiring(ref), (name, target)
+
+    def test_derives_sccs_at_most_once_per_call(self, monkeypatch):
+        import repro.analysis.timing_buffers as timing
+        from repro.pipeline import prepare_circuit
+
+        circuit = prepare_circuit("2mm", "crush", scale="small").circuit
+        calls = []
+        real = timing._scc_ids
+        monkeypatch.setattr(
+            timing, "_scc_ids", lambda c: calls.append(1) or real(c)
+        )
+        assert len(insert_timing_buffers(circuit, target_cp_ns=4.0)) > 1
+        assert len(calls) == 1
+
+
+def twin_channel_chain():
+    """A long adder chain whose middle hop is two parallel channels: a
+    fork driving both inputs of one adder."""
+    c = DataflowCircuit("twin")
+    prev = c.add(Sequence("src", list(range(5))))
+    for i in range(4):
+        fu = c.add(FunctionalUnit(f"a{i}", "iadd", const_ops={1: 1}))
+        c.connect(prev, 0, fu, 0)
+        prev = fu
+    fork = c.add(EagerFork("fork", 2))
+    c.connect(prev, 0, fork, 0)
+    prev = c.add(FunctionalUnit("j", "iadd"))
+    c.connect(fork, 0, prev, 0)
+    c.connect(fork, 1, prev, 1)
+    for i in range(4):
+        fu = c.add(FunctionalUnit(f"b{i}", "iadd", const_ops={1: 1}))
+        c.connect(prev, 0, fu, 0)
+        prev = fu
+    c.connect(prev, 0, c.add(Sink("s")), 0)
+    return c
+
+
+def _wiring(circuit):
+    return [
+        (ch.src.unit, ch.src.index, ch.dst.unit, ch.dst.index, ch.width,
+         sorted(ch.attrs.items()))
+        for ch in circuit.channels
+    ]
+
+
+def _reference_timing_buffers(circuit, target_cp_ns):
+    """The timing pass as first written: SCCs recomputed and the channel
+    list scanned for every buffer it inserts."""
+    from repro.analysis.buffers import _splice
+    from repro.analysis.timing_buffers import _comb_paths, _scc_ids
+    from repro.resources.library import BASE_PATH_OVERHEAD_NS
+
+    inserted = []
+    budget = max(0.0, target_cp_ns - BASE_PATH_OVERHEAD_NS)
+    blocked = set()
+    for _ in range(400):
+        total, path = _comb_paths(circuit, {})
+        if total <= budget or not path or tuple(path) in blocked:
+            break
+        scc = _scc_ids(circuit)
+        hops = list(zip(path, path[1:]))
+        if not hops:
+            break
+        mid = len(hops) // 2
+        chosen = None
+        for i in sorted(range(len(hops)), key=lambda i: abs(i - mid)):
+            a, b = hops[i]
+            ch = next(
+                (ch for ch in circuit.channels
+                 if ch.src.unit == a and ch.dst.unit == b),
+                None,
+            )
+            if ch is None:
+                continue
+            if scc[a] == scc[b] and scc[a] >= 0 and ch.width > 1:
+                continue
+            chosen = ch
+            break
+        if chosen is None:
+            blocked.add(tuple(path))
+            continue
+        buf = circuit.add(ElasticBuffer(
+            circuit.fresh_name("cpbuf"), slots=2, width_hint=chosen.width,
+        ))
+        _splice(circuit, chosen, buf)
+        inserted.append(buf.name)
+    return inserted

@@ -119,3 +119,46 @@ class TestTimingBuffers:
         ]
         # The wide ring edges m->fu / fu->eb / eb->m are untouched.
         assert len(ring_channels) == 3
+
+
+class TestSolverImport:
+    def test_import_repro_leaves_the_lp_solver_unloaded(self):
+        """``import repro`` does not pay for ``scipy.optimize``: the solve
+        path imports it, and ``load_solver`` (which ``prepare_circuit``
+        calls before its optimization timer starts) loads it up front."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "from repro.analysis.lp_sizing import load_solver\n"
+            "load_solver()\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
+    def test_pooled_sweep_children_inherit_the_lp_solver(self):
+        """A pooled sweep loads the solver before its first fork, so no
+        child process imports it again."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.sweep import SweepJob, run_sweep\n"
+            "def probe(job):\n"
+            "    raise RuntimeError(str('scipy.optimize' in sys.modules))\n"
+            "job = SweepJob(kernel='gsum', technique='crush', scale='small')\n"
+            "out = run_sweep([job], workers=1, retries=0, worker_fn=probe)\n"
+            "print(out.records[0].error)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]

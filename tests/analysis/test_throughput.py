@@ -12,7 +12,7 @@ from repro.analysis import (
     max_cycle_ratio,
 )
 from repro.analysis import throughput
-from repro.analysis.throughput import _adjacency, _extract_cycle, _positive_cycle
+from repro.analysis.throughput import _adjacency, _extract_cycle, positive_cycle
 from repro.errors import AnalysisError
 
 
@@ -298,7 +298,7 @@ class TestLawlerNeverUnderestimates:
 
 
 def _fraction_positive_cycle(adj, lam, tokenless_only=False):
-    """Reference for :func:`_positive_cycle`: the same queue-based
+    """Reference for :func:`positive_cycle`: the same queue-based
     Bellman-Ford, relaxing ``latency - lam*tokens`` in exact ``Fraction``
     arithmetic.  The integer kernel must reproduce it step for step."""
     n = len(adj)
@@ -374,12 +374,12 @@ class TestIntegerKernelMatchesFractionReference:
             _, adj = _adjacency(edges)
             lam = Fraction(a, b)
             for args in ((lam, False), (lam, True), (Fraction(0), True)):
-                assert _outcome(_positive_cycle, adj, *args) == _outcome(
+                assert _outcome(positive_cycle, adj, *args) == _outcome(
                     _fraction_positive_cycle, adj, *args
                 )
 
             with mock.patch.object(
-                throughput, "_positive_cycle", _fraction_positive_cycle
+                throughput, "positive_cycle", _fraction_positive_cycle
             ):
                 want = _outcome(max_cycle_ratio, edges)
             # IIResult equality compares ``ii`` and ``critical_cycle``.

@@ -4,7 +4,8 @@ Each test builds a small circuit, breaks exactly one structural
 invariant, and asserts the rule fires under its stable code.  Other
 rules may legitimately co-fire (e.g. an island also trips ST004), so
 membership in ``report.codes()`` is asserted, not equality, unless the
-circuit is fully clean.
+circuit is fully clean.  ST007's per-component decision is also checked
+against brute-force simple-cycle enumeration on random digraphs.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.analysis.cfc import CFC
 from repro.circuit import (
     Channel,
     DataflowCircuit,
+    EagerFork,
     ElasticBuffer,
     FunctionalUnit,
     PortRef,
@@ -183,3 +185,179 @@ def test_st007_saturated_ring():
     # One token fewer and the ring can breathe.
     c.channels[-1].attrs["tokens"] = 2
     assert "ST007" not in run_lint(c, cfcs=[]).codes()
+
+
+def test_st007_reports_a_saturated_ring_past_the_enumeration_cap(
+    monkeypatch,
+):
+    """The cap bounds only the search for the wording: with it at 0 the
+    positive-cycle test's witness cycle is reported instead."""
+    import repro.lint.rules_structural as rules
+
+    monkeypatch.setattr(rules, "MAX_CYCLES_PER_SCC", 0)
+    c = ring(ElasticBuffer, TransparentFifo, tokens=3)
+    diags = run_lint(c, cfcs=[]).by_code("ST007")
+    assert len(diags) == 1
+    assert diags[0].severity == "error" and diags[0].unit == "a"
+    assert "is saturated: 3 circulating token(s) but only 3 slot(s)" in (
+        diags[0].message
+    )
+    c.channels[-1].attrs["tokens"] = 2
+    assert "ST007" not in run_lint(c, cfcs=[]).codes()
+
+
+def comb_ring():
+    """Two zero-latency adders feeding each other: no storage, no tokens."""
+    c = DataflowCircuit("comb_ring")
+    a = c.add(FunctionalUnit("a", "iadd", const_ops={1: 1}))
+    b = c.add(FunctionalUnit("b", "iadd", const_ops={1: 1}))
+    c.connect(a, 0, b, 0)
+    c.connect(b, 0, a, 0)
+    return c
+
+
+@pytest.mark.parametrize("cap", [0, 5000])
+def test_st007_leaves_a_tokenless_ring_to_st005(monkeypatch, cap):
+    # 0 tokens >= 0 slots, but a combinational ring is ST005's error, not
+    # a saturated one: the positive-cycle test does not flag it.
+    import repro.lint.rules_structural as rules
+
+    monkeypatch.setattr(rules, "MAX_CYCLES_PER_SCC", cap)
+    codes = run_lint(comb_ring(), cfcs=[]).codes()
+    assert "ST005" in codes and "ST007" not in codes
+
+
+def ring_beside_comb_ring():
+    """One component holding two rings through ``a``: the tokenless
+    zero-storage a -> fork -> b -> a, and a -> fork -> eb -> tf -> a with
+    3 tokens on 3 slots, which is saturated.  In this channel order a
+    search that counted 0 tokens on 0 slots as saturated would return the
+    tokenless ring."""
+    c = DataflowCircuit("two_rings")
+    a = c.add(FunctionalUnit("a", "iadd"))
+    fork = c.add(EagerFork("fork", 2))
+    b = c.add(FunctionalUnit("b", "iadd", const_ops={1: 1}))
+    eb = c.add(ElasticBuffer("eb", slots=2))
+    tf = c.add(TransparentFifo("tf", slots=1))
+    c.connect(b, 0, a, 0)
+    c.connect(a, 0, fork, 0)
+    c.connect(fork, 1, eb, 0)
+    c.connect(fork, 0, b, 0)
+    c.connect(eb, 0, tf, 0)
+    c.connect(tf, 0, a, 1, tokens=3)
+    return c
+
+
+@pytest.mark.parametrize("cap", [0, 5000])
+def test_st007_finds_a_saturated_ring_beside_a_tokenless_one(
+    monkeypatch, cap
+):
+    """The tokenless ring cannot stand in for the saturated one as the
+    component's witness, so even a cap of 0 cannot hide it."""
+    import repro.lint.rules_structural as rules
+
+    monkeypatch.setattr(rules, "MAX_CYCLES_PER_SCC", cap)
+    diags = run_lint(ring_beside_comb_ring(), cfcs=[]).by_code("ST007")
+    assert len(diags) == 1
+    assert "3 circulating token(s) but only 3 slot(s)" in diags[0].message
+
+
+def test_st007_builds_no_networkx_graph_on_a_clean_circuit(monkeypatch):
+    import networkx as nx
+
+    from repro.lint.registry import LintContext
+    from repro.lint.rules_structural import check_saturated_cycles
+    from repro.pipeline import prepare_circuit
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("ST007 built a networkx graph")
+
+    circuits = [
+        ring(ElasticBuffer, TransparentFifo, tokens=2),
+        prepare_circuit("gsumif", "crush", scale="small").circuit,
+    ]
+    monkeypatch.setattr(nx, "DiGraph", no_graph)
+    for c in circuits:
+        found = []
+        check_saturated_cycles(LintContext(c), lambda *a, **k: found.append(a))
+        assert found == []
+
+
+def test_st007_decision_is_not_fooled_by_many_tokens():
+    """Five tokens on six slots is one slot short however many tokens
+    circulate; five on five is saturated."""
+    from repro.lint.rules_structural import saturated_cycles
+
+    succ = {"a": ["b"], "b": ["a"]}
+    tokens = {("a", "b"): 3, ("b", "a"): 2}
+    assert saturated_cycles(succ, tokens, {"a": 3, "b": 3}) == []
+    [(comp, witness)] = saturated_cycles(succ, tokens, {"a": 3, "b": 2})
+    assert sorted(comp) == sorted(witness) == ["a", "b"]
+
+
+def _brute_force_saturated(n, tokens, capacity):
+    """The components (as sets) holding a simple cycle whose tokens, one
+    or more, reach its capacity, by enumerating every simple cycle."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(tokens)
+    comp_of = {}
+    for comp in nx.strongly_connected_components(g):
+        for v in comp:
+            comp_of[v] = frozenset(comp)
+    flagged = set()
+    for cyc in nx.simple_cycles(g):
+        total = sum(tokens[h] for h in zip(cyc, cyc[1:] + cyc[:1]))
+        if total >= max(1, sum(capacity[v] for v in cyc)):
+            flagged.add(comp_of[cyc[0]])
+    return flagged
+
+
+def test_st007_decision_equals_brute_force_enumeration():
+    """Property: ``saturated_cycles`` flags exactly the components where
+    simple-cycle enumeration finds tokens >= max(1, capacity), and each
+    witness is such a cycle."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from repro.lint.rules_structural import saturated_cycles
+
+    @st.composite
+    def digraphs(draw):
+        n = draw(st.integers(1, 7))
+        node = st.integers(0, n - 1)
+        raw = draw(st.lists(
+            st.tuples(node, node, st.integers(0, 3)), max_size=3 * n,
+        ))
+        capacity = draw(st.lists(
+            st.integers(0, 3), min_size=n, max_size=n,
+        ))
+        # Parallel channels collapse to their minimum, as in the rule.
+        tokens = {}
+        for u, v, t in raw:
+            tokens[u, v] = min(tokens.get((u, v), t), t)
+        return n, tokens, capacity
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs())
+    def check(graph):
+        n, tokens, capacity = graph
+        succ = {v: [] for v in range(n)}
+        for u, v in tokens:
+            succ[u].append(v)
+        got = saturated_cycles(succ, tokens, dict(enumerate(capacity)))
+        assert {frozenset(comp) for comp, _ in got} == (
+            _brute_force_saturated(n, tokens, capacity)
+        )
+        for comp, witness in got:
+            hops = list(zip(witness, witness[1:] + witness[:1]))
+            assert len(set(witness)) == len(witness)
+            assert set(witness) <= set(comp)
+            assert sum(tokens[h] for h in hops) >= max(
+                1, sum(capacity[v] for v in witness)
+            )
+
+    check()

@@ -217,6 +217,32 @@ def test_module_cache_origins(codegen_cache):
     assert "def loop(" in py[0].read_text()
 
 
+def test_memo_serves_no_module_to_a_circuit_it_was_not_generated_for(
+    codegen_cache,
+):
+    """Guard for keying the in-process memo: ``structure_key`` (the
+    schedule's key) leaves out buffer depths, merge priorities, credit
+    counts and array names, but the generated code embeds them (a
+    buffer's ``nr = len(q) < slots``).  Two circuits with one schedule
+    need two modules, so a memo keyed by the schedule alone is unsound."""
+
+    def chain(slots):
+        c = DataflowCircuit(f"chain{slots}")
+        src = c.add(Sequence("src", [1.0, 2.0, 3.0]))
+        eb = c.add(ElasticBuffer("eb", slots=slots))
+        sink = c.add(Sink("sink"))
+        c.connect(src, 0, eb, 0)
+        c.connect(eb, 0, sink, 0)
+        return c
+
+    e2 = create_engine(chain(2), backend="codegen")
+    e5 = create_engine(chain(5), backend="codegen")
+    assert e5.schedule.key == e2.schedule.key
+    assert e5.codegen_key != e2.codegen_key
+    # Generated for this circuit, not served the first circuit's module.
+    assert e5.codegen_origin == "generated"
+
+
 def test_salted_source_change_invalidates_cache(codegen_cache, monkeypatch):
     """A repro source change must never serve stale generated code."""
     import repro.sim.codegen as cg
