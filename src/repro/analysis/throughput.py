@@ -13,6 +13,10 @@ the bound to that cycle's exact ratio, and stop when no cycle beats it.
 Each round strictly increases the bound among the finitely many distinct
 cycle ratios, so termination is exact, and in practice takes a handful of
 rounds even on unrolled circuits.
+
+Detection (:func:`positive_cycle`) is Bellman-Ford in exact integers with
+Tarjan's subtree disassembly: a positive cycle is reported at the
+relaxation that closes it in the predecessor tree.
 """
 
 from __future__ import annotations
@@ -184,95 +188,102 @@ def positive_cycle(
     """Find a cycle with Σ(latency - lam*tokens) > 0.
 
     Returns ``(node_list, total_latency, total_tokens)`` or ``None``.
-    Bellman-Ford (queue-based) on negated weights; ``tokenless_only``
-    restricts the search to edges with zero tokens (structural-deadlock
-    pre-check).  Predecessors remember the exact relaxed edge so parallel
-    edges between the same node pair are attributed correctly.
+    Queue-based Bellman-Ford on negated weights with Tarjan's subtree
+    disassembly; ``tokenless_only`` restricts the search to edges with
+    zero tokens (structural-deadlock pre-check).  Predecessors remember
+    the exact relaxed edge so parallel edges between the same node pair
+    are attributed correctly.
+
+    The predecessors form a tree under a virtual root (every distance
+    starts at 0, as if the root reached each node by a zero edge), kept
+    as a preorder list with a depth per node.  When ``u -> v`` raises
+    ``dist[v]``, every node below ``v`` leaves the tree: its distance
+    was derived from ``v``'s old one, and ``v`` will relax it again.
+    Meeting ``u`` there means the new edge closes a cycle of tight
+    edges, which is positive; it is returned at once.  A dequeued node
+    that is out of the tree is skipped.  A node scanned in the queue's
+    k-th pass has depth at least k, so the search ends within n + 1
+    passes.
 
     The relaxation runs in plain integers.  With ``lam = p/q`` (``q > 0``)
     every edge weight is scaled by ``q`` to ``q*latency - p*tokens``;
     starting from all-zero distances, each scaled distance is exactly
     ``q`` times the rational one, so every ``nd > dist[v]`` comparison —
-    and with it the visiting order, the relaxations and the returned
-    cycle — is the same as relaxing ``latency - lam*tokens`` exactly.
-    A caller with integer weights of its own (of either sign) passes them
-    as latencies with ``lam = 0``, as lint rule ST007 does.
+    and with it the visiting order, the tree and the returned cycle — is
+    the same as relaxing ``latency - lam*tokens`` exactly.  A caller with
+    integer weights of its own (of either sign) passes them as latencies
+    with ``lam = 0``, as lint rule ST007 does.
     """
     n = len(adj)
     p, q = lam.numerator, lam.denominator
-    # Per-lam weights, each with the predecessor record its relaxation
-    # stores: (v, q*lat - p*tok, (u, lat, tok)).
-    wadj = [
-        [
-            (v, q * lat - p * tok, (u, lat, tok))
-            for (v, lat, tok) in out
-            if not (tokenless_only and tok)
-        ]
-        for u, out in enumerate(adj)
-    ]
     dist = [0] * n
-    pred: List[Optional[Tuple[int, int, int]]] = [None] * n  # (u, lat, tok)
-    counts = [0] * n
+    # The edge that last raised each node: (u, lat, tok); the root is n.
+    pred = [(n, 0, 0)] * n
+    # The tree in preorder: a circular doubly linked list through the
+    # root, which starts with every node as its child.  Depth 0 marks a
+    # node out of the tree (the root, never queued, also has depth 0).
+    nxt = list(range(1, n + 1)) + [0]
+    prv = [n] + list(range(n))
+    depth = [1] * n + [0]
     in_queue = [True] * n
     queue = list(range(n))
     limit = 16 * n * n + 64  # safety valve; should be unreachable
     # The queue grows while it is walked; ``head`` counts dequeues.
     for head, u in enumerate(queue, 1):
-        in_queue[u] = False
-        du = dist[u]
-        for (v, w, step) in wadj[u]:
-            nd = du + w
-            if nd > dist[v]:
-                dist[v] = nd
-                pred[v] = step
-                counts[v] += 1
-                if counts[v] > n:
-                    found = _extract_cycle(pred, v)
-                    if found is not None:
-                        return found
-                    # The predecessor forest does not (yet) contain the
-                    # cycle; keep relaxing — it will, since a positive
-                    # cycle keeps re-relaxing its members.
-                    counts[v] = 0
-                if not in_queue[v]:
-                    in_queue[v] = True
-                    queue.append(v)
         if head > limit:
             raise AnalysisError("positive-cycle search did not terminate")
+        in_queue[u] = False
+        hu = depth[u]
+        if not hu:
+            continue
+        du = dist[u]
+        for (v, lat, tok) in adj[u]:
+            if tokenless_only and tok:
+                continue
+            nd = du + q * lat - p * tok
+            if nd <= dist[v]:
+                continue
+            if v == u:
+                return [u], lat, tok
+            dist[v] = nd
+            pred[v] = (u, lat, tok)
+            hv = depth[v]
+            if hv:
+                # Disassemble v's subtree: the entries after v that are
+                # deeper than v.  Then unlink v and the disassembled run.
+                x = nxt[v]
+                while depth[x] > hv:
+                    if x == u:
+                        return _extract_cycle(pred, v)
+                    depth[x] = 0
+                    x = nxt[x]
+                a = prv[v]
+                nxt[a] = x
+                prv[x] = a
+            # Relink v as u's first child.
+            x = nxt[u]
+            nxt[u] = v
+            prv[v] = u
+            nxt[v] = x
+            prv[x] = v
+            depth[v] = hu + 1
+            if not in_queue[v]:
+                in_queue[v] = True
+                queue.append(v)
     return None
 
 
 def _extract_cycle(
-    pred: List[Optional[Tuple[int, int, int]]], start: int
-) -> Optional[Tuple[List[int], int, int]]:
-    """Find a cycle in the predecessor forest, following it from ``start``.
-
-    The forest is functional (one predecessor per node), so the walk either
-    enters a cycle or terminates at an unrelaxed node; returns None in the
-    latter case (the caller then continues the search).
-    """
-    order: Dict[int, int] = {}
-    node: Optional[int] = start
-    while node is not None and node not in order:
-        order[node] = len(order)
-        p = pred[node]
-        node = p[0] if p is not None else None
-    if node is None:
-        return None
-    # ``node`` is the first revisited node: the cycle is node -> ... -> node.
-    cycle = [node]
-    lat = tok = 0
-    cur = node
-    while True:
-        step = pred[cur]
-        if step is None:  # unreachable: every cycle member was relaxed
-            raise AnalysisError("predecessor forest lost a cycle member")
-        u, e_lat, e_tok = step
+    pred: List[Tuple[int, int, int]], start: int
+) -> Tuple[List[int], int, int]:
+    """The predecessor cycle through ``start``, in edge order and ending
+    at ``start``, with its total latency and tokens."""
+    cycle = [start]
+    u, lat, tok = pred[start]
+    while u != start:
+        cycle.append(u)
+        u, e_lat, e_tok = pred[u]
         lat += e_lat
         tok += e_tok
-        if u == node:
-            break
-        cycle.append(u)
-        cur = u
     cycle.reverse()
     return cycle, lat, tok

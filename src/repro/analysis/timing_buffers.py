@@ -36,18 +36,21 @@ def _comb_paths(
 ) -> Tuple[float, List[str]]:
     """Longest-chain DP over the combinational subgraph; returns
     (total delay, path unit list) of the worst chain.  ``delays`` caches
-    each unit's ``comb_delay`` across calls."""
+    each unit's ``comb_delay`` across calls.
+
+    The combinational units keep ``circuit.units`` order, and with it the
+    topological order and the tie-break between equally long chains, so
+    every process cuts the same channels whatever its string-hash seed."""
     from ..resources.library import comb_delay
 
-    comb = {
-        n
+    succ: Dict[str, List[str]] = {
+        n: []
         for n, u in circuit.units.items()
         if u.latency < 1 and u.initial_tokens < 1 and u.n_in > 0
     }
-    succ: Dict[str, List[str]] = {n: [] for n in comb}
-    indeg: Dict[str, int] = {n: 0 for n in comb}
+    indeg: Dict[str, int] = dict.fromkeys(succ, 0)
     for ch in circuit.channels:
-        if ch.src.unit in comb and ch.dst.unit in comb:
+        if ch.src.unit in succ and ch.dst.unit in succ:
             succ[ch.src.unit].append(ch.dst.unit)
             indeg[ch.dst.unit] += 1
     order: List[str] = [n for n, d in indeg.items() if d == 0]
@@ -58,7 +61,7 @@ def _comb_paths(
             if indeg[s] == 0:
                 order.append(s)
         i += 1
-    if len(order) != len(comb):
+    if len(order) != len(succ):
         # Combinational cycle: let the structural pass handle it first.
         return 0.0, []
     best_total = 0.0

@@ -208,6 +208,52 @@ class TestTimingBuffers:
         assert len(insert_timing_buffers(circuit, target_cp_ns=4.0)) > 1
         assert len(calls) == 1
 
+    def test_circuits_do_not_depend_on_the_string_hash_seed(self):
+        """Processes with different ``PYTHONHASHSEED`` build the same
+        circuits, so a generated simulator module one of them cached is
+        found by the other.  2mm, 3mm, mvt and syr2k have equally long
+        combinational chains; which one gets cut first must not follow a
+        set's iteration order."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import json\n"
+            "from repro.pipeline import prepare_circuit\n"
+            "from repro.sim.codegen import generate_pieces, source_key\n"
+            "from repro.sim.signal_graph import compile_schedule\n"
+            "out = {}\n"
+            "for k in ('2mm', '3mm', 'mvt', 'syr2k'):\n"
+            "    for t in ('naive', 'inorder', 'crush'):\n"
+            "        c = prepare_circuit(k, t, scale='small').circuit\n"
+            "        pieces = generate_pieces(c, compile_schedule(c))\n"
+            "        out[k + '/' + t] = [\n"
+            "            list(c.units),\n"
+            "            [(ch.src.unit, ch.src.index, ch.dst.unit,\n"
+            "              ch.dst.index) for ch in c.channels],\n"
+            "            source_key(pieces),\n"
+            "        ]\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        builds = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            )
+            assert proc.returncode == 0, proc.stderr
+            builds.append(json.loads(proc.stdout))
+        assert len(builds[0]) == 12
+        for config, build in builds[0].items():
+            assert build == builds[1][config], config
+
 
 def twin_channel_chain():
     """A long adder chain whose middle hop is two parallel channels: a

@@ -299,38 +299,56 @@ class TestLawlerNeverUnderestimates:
 
 def _fraction_positive_cycle(adj, lam, tokenless_only=False):
     """Reference for :func:`positive_cycle`: the same queue-based
-    Bellman-Ford, relaxing ``latency - lam*tokens`` in exact ``Fraction``
-    arithmetic.  The integer kernel must reproduce it step for step."""
+    Bellman-Ford with subtree disassembly, relaxing ``latency -
+    lam*tokens`` in exact ``Fraction`` arithmetic.  The integer kernel
+    must reproduce it step for step.  The relaxation tree is kept as
+    explicit child lists instead of a preorder list."""
     n = len(adj)
     dist = [Fraction(0)] * n
-    pred = [None] * n
-    counts = [0] * n
+    pred = [(n, 0, 0)] * n
+    children = [[] for _ in range(n)] + [list(range(n))]
+    in_tree = [True] * n
     in_queue = [True] * n
     queue = list(range(n))
     head = 0
     while head < len(queue):
         u = queue[head]
         head += 1
+        if head > 16 * n * n + 64:
+            raise AnalysisError("positive-cycle search did not terminate")
         in_queue[u] = False
+        if not in_tree[u]:
+            continue
         du = dist[u]
         for (v, lat, tok) in adj[u]:
             if tokenless_only and tok != 0:
                 continue
             nd = du + (Fraction(lat) - lam * tok)
-            if nd > dist[v]:
-                dist[v] = nd
+            if nd <= dist[v]:
+                continue
+            if v == u:
+                return [u], lat, tok
+            dist[v] = nd
+            below, stack = [], list(children[v])  # v's subtree
+            while stack:
+                x = stack.pop()
+                below.append(x)
+                stack.extend(children[x])
+            if u in below:
                 pred[v] = (u, lat, tok)
-                counts[v] += 1
-                if counts[v] > n:
-                    found = _extract_cycle(pred, v)
-                    if found is not None:
-                        return found
-                    counts[v] = 0
-                if not in_queue[v]:
-                    in_queue[v] = True
-                    queue.append(v)
-        if head > 16 * n * n + 64:
-            raise AnalysisError("positive-cycle search did not terminate")
+                return _extract_cycle(pred, v)
+            for x in below:
+                in_tree[x] = False
+                children[x] = []
+            if in_tree[v]:
+                children[pred[v][0]].remove(v)
+            children[v] = []
+            in_tree[v] = True
+            pred[v] = (u, lat, tok)
+            children[u].append(v)
+            if not in_queue[v]:
+                in_queue[v] = True
+                queue.append(v)
     return None
 
 
@@ -384,5 +402,64 @@ class TestIntegerKernelMatchesFractionReference:
                 want = _outcome(max_cycle_ratio, edges)
             # IIResult equality compares ``ii`` and ``critical_cycle``.
             assert _outcome(max_cycle_ratio, edges) == want
+
+        check()
+
+
+class TestPositiveCycleAgainstBruteForce:
+    """Property: at any ratio ``lam``, the kernel finds a cycle exactly
+    when exhaustive enumeration finds one with Σ(latency - lam*tokens)
+    > 0, and what it returns is such a cycle of the graph, with its true
+    totals.  Latencies of either sign occur, as ST007 passes them."""
+
+    def test_hypothesis_random_multigraphs(self):
+        pytest.importorskip("hypothesis")
+        import networkx as nx
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def graphs(draw):
+            n = draw(st.integers(1, 7))
+            node = st.integers(0, n - 1)
+            edge = st.tuples(node, node, st.integers(-4, 9), st.integers(0, 3))
+            return n, draw(st.lists(edge, max_size=16))
+
+        @settings(max_examples=200, deadline=None)
+        @given(graphs(), st.integers(-6, 40), st.integers(1, 12), st.booleans())
+        def check(graph, a, b, tokenless_only):
+            n, raw = graph
+            lam = Fraction(a, b)
+            # Per node pair, the (latency, tokens) of the usable edges.
+            options = {}
+            for u, v, lat, tok in raw:
+                if not (tokenless_only and tok):
+                    options.setdefault((u, v), []).append((lat, tok))
+            adj = [[] for _ in range(n)]
+            for u, v, lat, tok in raw:
+                adj[u].append((v, lat, tok))
+
+            def hops(cyc):
+                return [options.get(h) for h in zip(cyc, cyc[1:] + cyc[:1])]
+
+            # Parallel edges: the heaviest one per hop decides.
+            expected = any(
+                sum(max(lat - lam * tok for lat, tok in opts) for opts in ops)
+                > 0
+                for ops in map(hops, nx.simple_cycles(nx.DiGraph(list(options))))
+            )
+
+            found = positive_cycle(adj, lam, tokenless_only)
+            assert (found is not None) == expected
+            if found is None:
+                return
+            cyc, lat, tok = found
+            assert len(set(cyc)) == len(cyc)
+            assert all(hops(cyc))
+            totals = {(0, 0)}
+            for opts in hops(cyc):
+                totals = {(l + el, t + et) for l, t in totals for el, et in opts}
+            assert (lat, tok) in totals
+            assert lat - lam * tok > 0
 
         check()
