@@ -10,11 +10,43 @@ passes.
 
 from __future__ import annotations
 
+import hashlib
+from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import CircuitError
 from .channel import Channel, PortRef, DATA_WIDTH
 from .unit import Unit
+from .units.functional import OpSpec
+
+#: Attribute values :func:`_canonical` writes with ``repr``.
+_SCALARS = (type(None), bool, int, float, str)
+
+
+class _Unkeyable(Exception):
+    """An attribute value :func:`_canonical` has no canonical form for."""
+
+
+def _canonical(value) -> str:
+    """A text form of ``value`` that equal values share in every process:
+    scalars by ``repr``, sequences in order, dicts and sets sorted, an
+    :class:`OpSpec` by its mnemonic.  Any other type raises
+    :class:`_Unkeyable`."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return repr(value)
+    if kind in (list, tuple, deque):
+        return f"{kind.__name__}[{','.join(map(_canonical, value))}]"
+    if kind is dict:
+        items = sorted(
+            f"{_canonical(k)}:{_canonical(v)}" for k, v in value.items()
+        )
+        return f"dict{{{','.join(items)}}}"
+    if kind in (set, frozenset):
+        return f"{kind.__name__}{{{','.join(sorted(map(_canonical, value)))}}}"
+    if kind is OpSpec:
+        return f"OpSpec({value.mnemonic})"
+    raise _Unkeyable(kind.__qualname__)
 
 
 class DataflowCircuit:
@@ -205,6 +237,39 @@ class DataflowCircuit:
         for ch in self.channels:
             g.add_edge(ch.src.unit, ch.dst.unit, channel=ch)
         return g
+
+    def fingerprint(self) -> Optional[str]:
+        """SHA-256 hex digest of everything a simulation of this circuit
+        can read, or ``None`` when some attribute has no canonical form.
+
+        It covers every unit in ``units`` order (its type's module and
+        qualname, its name and every instance attribute but ``meta``,
+        which no simulator reads) and every channel in ``channels`` order
+        (cid, endpoints, width, name, attrs).  Equal fingerprints mean
+        equal circuits; an attribute of an unknown type gives ``None``
+        rather than a key that might conflate two circuits.
+        """
+        digest = hashlib.sha256()
+        try:
+            for unit in self.units.values():
+                kind = type(unit)
+                attrs = sorted(
+                    f"{k}={_canonical(v)}"
+                    for k, v in vars(unit).items() if k != "meta"
+                )
+                digest.update(
+                    f"U{kind.__module__}.{kind.__qualname__}"
+                    f"|{unit.name!r}|{';'.join(attrs)}\n".encode()
+                )
+            for ch in self.channels:
+                digest.update(
+                    f"C{ch.cid}|{ch.src.unit!r}:{ch.src.index}"
+                    f"|{ch.dst.unit!r}:{ch.dst.index}|{ch.width}"
+                    f"|{ch.name!r}|{_canonical(ch.attrs)}\n".encode()
+                )
+        except _Unkeyable:
+            return None
+        return digest.hexdigest()
 
     def stats(self) -> Dict[str, int]:
         """Unit-count statistics by type name (used in reports and tests)."""

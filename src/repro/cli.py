@@ -580,7 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="circuit style(s) to sweep (default: bb)")
     p_s.add_argument("--scale", choices=("small", "paper"), default="paper")
     p_s.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes (0 = serial in-process)")
+                     help="worker processes (0 = serial in-process, which "
+                          "simulates each distinct circuit once; workers "
+                          "fork a child per task and do not share)")
     p_s.add_argument("--timeout", type=float, default=None, metavar="SEC",
                      help="per-job wall-clock timeout (worker mode only)")
     p_s.add_argument("--retries", type=int, default=1,

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .analysis import critical_cfcs, insert_timing_buffers, place_buffers
 from .analysis.lp_sizing import load_solver
@@ -27,7 +29,7 @@ from .frontend import lower_kernel, simulate_kernel, simulate_kernel_batch
 from .frontend.kernels import build
 from .frontend.runner import KernelRun
 from .resources import ResourceEstimate, estimate_circuit
-from .sim import DEFAULT_BACKEND
+from .sim import DEFAULT_BACKEND, sanitize_default
 
 TECHNIQUES = ("naive", "inorder", "crush")
 
@@ -53,9 +55,10 @@ class TechniqueResult:
     opt_time_s: float
     groups: List[List[str]] = field(default_factory=list)
     estimate: Optional[ResourceEstimate] = None
-    #: Simulation backend that produced ``cycles`` (both backends are
-    #: bit-identical, so this is provenance, not a metric).
-    sim_backend: str = "compiled"
+    #: Simulation backend that produced ``cycles`` (``""`` when the row
+    #: did not simulate).  The three backends are bit-identical, so this
+    #: is provenance, not a metric.
+    sim_backend: str = ""
     #: ``repro.lint`` diagnostic counts for the built circuit (0/0 when
     #: the lint gate was off).  Provenance, not a metric.
     lint_errors: int = 0
@@ -312,6 +315,66 @@ def _prepare_and_analyze(
     return prep, columns
 
 
+class SimulationMemo:
+    """Verified simulations that the rows of one serial sweep share.
+
+    In-order and CRUSH often build the same circuit, and all three
+    techniques leave some kernels unshared, so several rows of a matrix
+    may simulate identical circuits on identical inputs.  Inside
+    :func:`shared_simulations`, :func:`run_technique` keys each
+    simulation by the prepared circuit's
+    :meth:`~repro.circuit.graph.DataflowCircuit.fingerprint` and
+    everything else the simulation reads, and reuses a verified
+    :class:`KernelRun` instead of simulating again.
+    """
+
+    def __init__(self) -> None:
+        self.runs: Dict[tuple, KernelRun] = {}
+        #: Rows served from ``runs`` instead of a simulation.
+        self.shared = 0
+
+
+#: The memo of the serial sweep in progress in this context, if any.
+_memo: ContextVar[Optional[SimulationMemo]] = ContextVar(
+    "simulation_memo", default=None
+)
+
+
+@contextmanager
+def shared_simulations() -> Iterator[SimulationMemo]:
+    """Open a :class:`SimulationMemo` for the calls made in this block."""
+    memo = SimulationMemo()
+    token = _memo.set(memo)
+    try:
+        yield memo
+    finally:
+        _memo.reset(token)
+
+
+def _simulation_key(
+    prep: PreparedRun,
+    scale: str,
+    size_overrides: Dict[str, int],
+    seed: int,
+    max_cycles: int,
+    sim_backend: Optional[str],
+    sanitize: Optional[bool],
+) -> Optional[tuple]:
+    """One row's :class:`SimulationMemo` key, or ``None`` when the row
+    simulates on its own: the sanitizer is armed (its verdict belongs to
+    the run that observed it) or the circuit has no fingerprint."""
+    if sanitize_default() if sanitize is None else bool(sanitize):
+        return None
+    fingerprint = prep.circuit.fingerprint()
+    if fingerprint is None:
+        return None
+    return (
+        fingerprint, prep.kernel, scale,
+        tuple(sorted(size_overrides.items())), prep.lowered.end_sink,
+        seed, max_cycles, sim_backend or DEFAULT_BACKEND,
+    )
+
+
 def run_technique(
     kernel_name: str,
     technique: str,
@@ -345,19 +408,34 @@ def run_technique(
 
     ``seed`` selects the input data set (``cycles`` depends on it for
     data-dependent kernels); it is recorded in the result.
+
+    Inside :func:`shared_simulations` (a serial sweep), a row whose
+    circuit, inputs and simulation settings equal an earlier row's
+    reuses that row's verified run instead of simulating again.
     """
     prep, columns = _prepare_and_analyze(
         kernel_name, technique, style, scale, lint, size_overrides
     )
     run = None
     if simulate:
-        run = simulate_kernel(
-            prep.lowered,
-            max_cycles=max_cycles,
-            backend=sim_backend,
-            sanitize=sanitize,
-            seed=seed,
+        memo = _memo.get()
+        key = None if memo is None else _simulation_key(
+            prep, scale, size_overrides, seed, max_cycles, sim_backend,
+            sanitize,
         )
+        if key is not None and key in memo.runs:
+            run = memo.runs[key]
+            memo.shared += 1
+        else:
+            run = simulate_kernel(
+                prep.lowered,
+                max_cycles=max_cycles,
+                backend=sim_backend,
+                sanitize=sanitize,
+                seed=seed,
+            )
+            if key is not None:
+                memo.runs[key] = run
 
     est = estimate_circuit(prep.circuit)
     return _result_row(prep, est, run, seed, sim_backend, columns)
@@ -378,6 +456,7 @@ def _result_row(
     provenance: Dict[str, Any] = {}
     if run is not None:
         provenance = dict(
+            sim_backend=sim_backend or DEFAULT_BACKEND,
             mask_promotions=run.mask_promotions,
             divergence=run.divergence or "",
             data_plane=run.data_plane,
@@ -397,7 +476,6 @@ def _result_row(
         opt_time_s=round(prep.buffer_time + prep.decisions.opt_time_s, 4),
         groups=prep.groups,
         estimate=est,
-        sim_backend=sim_backend or DEFAULT_BACKEND,
         seed=seed,
         **columns,
         **provenance,

@@ -29,7 +29,8 @@ CSV_HEADERS = [
 
 
 class ProgressReporter:
-    """Streams one line per finished job; collects summary counters."""
+    """Streams one line per finished job (unless ``quiet``) and prints the
+    final summary."""
 
     def __init__(self, total: int, stream: Optional[TextIO] = None,
                  quiet: bool = False) -> None:
@@ -58,8 +59,7 @@ class ProgressReporter:
 
     def summary(self, outcome: SweepOutcome) -> str:
         text = summarize(outcome)
-        if not self.quiet:
-            print(text, file=self.stream)
+        print(text, file=self.stream)
         return text
 
 
@@ -79,6 +79,11 @@ def summarize(outcome: SweepOutcome) -> str:
     if outcome.cache_misses:
         lines.append(
             f"  aggregate speedup vs serial: {outcome.speedup:.2f}x"
+        )
+    if outcome.shared_simulations:
+        lines.append(
+            f"  {outcome.shared_simulations} simulations shared "
+            f"(rows with identical circuits)"
         )
     if failed:
         lines.append("  failed jobs:")
@@ -120,6 +125,7 @@ def outcome_to_dict(outcome: SweepOutcome) -> Dict[str, Any]:
         "cache_hits": outcome.cache_hits,
         "cache_misses": outcome.cache_misses,
         "failed": len(outcome.failed_records),
+        "shared_simulations": outcome.shared_simulations,
         "records": [r.to_dict() for r in outcome.records],
     }
 
@@ -131,6 +137,7 @@ def load_outcome(path) -> SweepOutcome:
         records=[SweepRecord.from_dict(r) for r in data["records"]],
         workers=data.get("workers", 0),
         wall_time_s=data.get("wall_time_s", 0.0),
+        shared_simulations=data.get("shared_simulations", 0),
     )
 
 

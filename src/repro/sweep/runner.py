@@ -13,6 +13,10 @@ count or completion order:
   (``workers >= 1``) so that a crashing or deadlocking configuration is
   *captured* — error type and message preserved in a ``failed`` record
   — instead of taking the whole sweep down;
+* the serial path simulates each distinct circuit once: one-job tasks
+  whose prepared circuits, inputs and simulation settings are identical
+  share one verified run (:func:`repro.pipeline.shared_simulations`);
+  a pooled sweep forks a child per task and shares nothing;
 * each child is subject to a per-task wall-clock ``timeout``; a failing
   batch re-queues its jobs as one-job tasks, and each failing one-job
   task is retried ``retries`` times before its failure is recorded.
@@ -33,7 +37,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..analysis.lp_sizing import load_solver
-from ..pipeline import TechniqueResult, run_technique, run_technique_batch
+from ..pipeline import (
+    TechniqueResult,
+    run_technique,
+    run_technique_batch,
+    shared_simulations,
+)
 from .cache import ResultCache
 from .job import SweepJob
 
@@ -133,6 +142,9 @@ class SweepOutcome:
     records: List[SweepRecord] = field(default_factory=list)
     workers: int = 0
     wall_time_s: float = 0.0
+    #: Rows whose simulation a serial sweep served from an earlier row
+    #: with an identical circuit (always 0 for pooled sweeps).
+    shared_simulations: int = 0
 
     @property
     def ok_records(self) -> List[SweepRecord]:
@@ -193,9 +205,12 @@ def run_sweep(
     """Run every job, answering from ``cache`` where possible.
 
     ``workers=0`` executes misses serially in-process (no timeout
-    enforcement — the serial reference path); ``workers >= 1`` fans them
-    out over that many isolated child processes.  The returned records
-    are in submission order independent of completion order.
+    enforcement — the serial reference path) and simulates each distinct
+    circuit once: rows with identical prepared circuits, inputs and
+    simulation settings share one verified run, counted in
+    ``shared_simulations``.  ``workers >= 1`` fans misses out over that
+    many isolated child processes, which share nothing.  The returned
+    records are in submission order independent of completion order.
 
     ``lanes=B`` (with ``B >= 2``) groups cache-missed jobs that differ
     only in ``seed`` into lane-parallel batches of up to ``B``: one
@@ -229,8 +244,11 @@ def run_sweep(
     width = lanes if lanes and worker_fn is execute_job else 1
     queue = _Queue(_plan_tasks(misses, width), retries, records, cache,
                    on_record)
+    shared = 0
     if workers <= 0:
-        _run_serial(queue, worker_fn)
+        with shared_simulations() as memo:
+            _run_serial(queue, worker_fn)
+        shared = memo.shared
     else:
         _run_pool(queue, workers, worker_fn, timeout)
 
@@ -238,6 +256,7 @@ def run_sweep(
         records=[records[i] for i in range(len(jobs))],
         workers=workers,
         wall_time_s=time.perf_counter() - t_start,
+        shared_simulations=shared,
     )
 
 

@@ -213,7 +213,9 @@ class TestTimingBuffers:
         circuits, so a generated simulator module one of them cached is
         found by the other.  2mm, 3mm, mvt and syr2k have equally long
         combinational chains; which one gets cut first must not follow a
-        set's iteration order."""
+        set's iteration order.  The circuit fingerprint covers names,
+        wiring, buffer depths, credits and merge orders of every
+        configuration; the codegen key covers the schedule too."""
         import json
         import os
         import subprocess
@@ -224,34 +226,36 @@ class TestTimingBuffers:
 
         code = (
             "import json\n"
-            "from repro.pipeline import prepare_circuit\n"
+            "from repro.frontend.kernels import KERNEL_NAMES\n"
+            "from repro.pipeline import TECHNIQUES, prepare_circuit\n"
             "from repro.sim.codegen import generate_pieces, source_key\n"
             "from repro.sim.signal_graph import compile_schedule\n"
             "out = {}\n"
-            "for k in ('2mm', '3mm', 'mvt', 'syr2k'):\n"
-            "    for t in ('naive', 'inorder', 'crush'):\n"
+            "for k in KERNEL_NAMES:\n"
+            "    for t in TECHNIQUES:\n"
             "        c = prepare_circuit(k, t, scale='small').circuit\n"
             "        pieces = generate_pieces(c, compile_schedule(c))\n"
-            "        out[k + '/' + t] = [\n"
-            "            list(c.units),\n"
-            "            [(ch.src.unit, ch.src.index, ch.dst.unit,\n"
-            "              ch.dst.index) for ch in c.channels],\n"
-            "            source_key(pieces),\n"
-            "        ]\n"
+            "        out[k + '/' + t] = [c.fingerprint(), source_key(pieces)]\n"
             "print(json.dumps(out))\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        builds = []
-        for seed in ("0", "1"):
-            proc = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True,
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True,
                 env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
             )
-            assert proc.returncode == 0, proc.stderr
-            builds.append(json.loads(proc.stdout))
-        assert len(builds[0]) == 12
+            for seed in ("0", "1")
+        ]
+        builds = []
+        for proc in procs:
+            out, err = proc.communicate()
+            assert proc.returncode == 0, err
+            builds.append(json.loads(out))
+        assert len(builds[0]) == 42
         for config, build in builds[0].items():
+            assert None not in build, config
             assert build == builds[1][config], config
 
 

@@ -174,7 +174,7 @@ def test_csv_rows_carry_the_seed_and_keep_their_cells(tmp_path):
         "lut": 1528, "ff": 1720, "cp_ns": 5.9, "cycles": 407,
         "exec_time_us": 2.5, "opt_time_s": 0.09, "lint_errors": 0,
         "lint_warnings": 0, "predicted_ii": "", "flow_diags": 0,
-        "mem_class": "", "memdep_diags": 0, "sim_backend": "compiled",
+        "mem_class": "", "memdep_diags": 0, "sim_backend": "",
         "data_plane": "scalar", "mask_promotions": 0, "divergence": "",
         "fu_census": "1 fadd 1 fmul", "error_type": "", "error": "",
         "wall_time_s": 0.0, "attempts": 0,

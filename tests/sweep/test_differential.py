@@ -50,6 +50,14 @@ def test_parallel_matches_serial(serial_outcome, parallel_outcome):
     assert fingerprint(parallel_outcome) == fingerprint(serial_outcome)
 
 
+def test_only_the_serial_sweep_shares_simulations(serial_outcome,
+                                                 parallel_outcome):
+    # atax and bicg: In-order and CRUSH build the same circuit, so the
+    # serial sweep simulates 7 circuits for 9 rows.
+    assert serial_outcome.shared_simulations == 2
+    assert parallel_outcome.shared_simulations == 0
+
+
 def test_records_follow_submission_order(parallel_outcome):
     shuffled = MATRIX[1::2] + MATRIX[::-2]
     assert [r.job for r in parallel_outcome.records] == shuffled

@@ -48,6 +48,15 @@ class TestRunTechnique:
         assert row.exec_time_us == 0
         assert row.dsp == 5
 
+    def test_only_simulated_rows_record_a_backend(self):
+        from repro.sim import DEFAULT_BACKEND
+
+        static = run_technique("gsum", "naive", scale="small",
+                               simulate=False)
+        simulated = run_technique("gsum", "naive", scale="small")
+        assert static.sim_backend == ""
+        assert simulated.sim_backend == DEFAULT_BACKEND
+
     def test_size_overrides_forwarded(self):
         small = run_technique("gemm", "naive", scale="small", simulate=True)
         smaller = run_technique(
