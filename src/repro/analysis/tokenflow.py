@@ -33,7 +33,7 @@ credit returned in cycle ``k`` is usable in ``k + 1``.
 
 The lint layer surfaces the results as rules FL001–FL005
 (:mod:`repro.lint.rules_flow`); ``python -m repro analyze ii`` checks
-the predictions against all three simulator backends.
+the predictions against either simulator backend.
 """
 
 from __future__ import annotations

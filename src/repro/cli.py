@@ -25,6 +25,9 @@ import argparse
 import sys
 from typing import List, Optional
 
+#: ``--sim-backend`` choices: the names in :data:`repro.sim.BACKENDS`.
+SIM_BACKENDS = ("event", "codegen")
+
 
 def _cmd_kernels(args) -> int:
     from .circuit import FunctionalUnit
@@ -199,7 +202,7 @@ def _cmd_profile(args) -> int:
     from .errors import SimulationError
     from .frontend import simulate_kernel
     from .pipeline import prepare_circuit
-    from .sim import DEFAULT_BACKEND, SimProfile
+    from .sim import SimProfile
 
     if args.lanes is not None:
         # Same contract as the engine itself: the lane-parallel loop has
@@ -215,11 +218,7 @@ def _cmd_profile(args) -> int:
     lowered = prepare_circuit(args.kernel, args.technique, style=args.style,
                               scale=args.scale).lowered
 
-    if args.backend == "both":
-        # Both *instrumented* backends; codegen has no per-unit hooks.
-        backends = ["event", "compiled"]
-    else:
-        backends = [args.backend or DEFAULT_BACKEND]
+    backends = SIM_BACKENDS if args.backend == "both" else [args.backend]
 
     reports = []
     for backend in backends:
@@ -231,8 +230,8 @@ def _cmd_profile(args) -> int:
                 sanitize=True if args.sanitize else None,
             )
         except SimulationError as exc:
-            # Unsupported backend/observer combination (e.g. profiling
-            # the codegen backend): report cleanly, no traceback.
+            # A failed simulation (deadlock, cycle limit, a circuit the
+            # backend cannot simulate): report cleanly, no traceback.
             print(f"error: {exc}", file=sys.stderr)
             return 2
         reports.append((backend, prof, run))
@@ -537,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_r.add_argument("--no-sim", action="store_true",
                      help="skip simulation (resources only)")
     p_r.add_argument("--sim-backend",
-                     choices=("event", "compiled", "codegen"),
+                     choices=SIM_BACKENDS,
                      default=None,
                      help="simulation backend (default: $REPRO_SIM_BACKEND "
                           "or codegen); all are bit-identical")
@@ -595,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--no-sim", action="store_true",
                      help="skip simulation (resources only, no cycles)")
     p_s.add_argument("--sim-backend",
-                     choices=("event", "compiled", "codegen"),
+                     choices=SIM_BACKENDS,
                      default=None,
                      help="simulation backend for every job (default: "
                           "$REPRO_SIM_BACKEND or codegen)")
@@ -626,12 +625,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_p.add_argument("--style", choices=("bb", "fast-token"), default="bb")
     p_p.add_argument("--scale", choices=("small", "paper"), default="small")
     p_p.add_argument("--backend", "--sim-backend", dest="backend",
-                     choices=("event", "compiled", "codegen", "both"),
+                     choices=SIM_BACKENDS + ("both",),
                      default="both",
-                     help="backend(s) to profile (default: both "
-                          "instrumented backends, with a head-to-head "
-                          "speedup line); codegen has no instrumentation "
-                          "points and is rejected with a clean error")
+                     help="backend(s) to profile (default: both, with a "
+                          "head-to-head speedup line)")
     p_p.add_argument("--top", type=int, default=10, metavar="N",
                      help="hot units to list per backend (default: 10)")
     p_p.add_argument("--max-cycles", type=int, default=4_000_000)
@@ -696,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ii.add_argument("--scale", choices=("small", "paper"),
                       default="small")
     p_ii.add_argument("--sim-backend",
-                      choices=("event", "compiled", "codegen"),
+                      choices=SIM_BACKENDS,
                       default=None,
                       help="backend for the measurement simulation")
     p_ii.add_argument("--seed", type=int, default=7,
@@ -731,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_md.add_argument("--scale", choices=("small", "paper"),
                       default="small")
     p_md.add_argument("--sim-backend",
-                      choices=("event", "compiled", "codegen"),
+                      choices=SIM_BACKENDS,
                       default=None,
                       help="backend for the alias-recording simulation")
     p_md.add_argument("--seed", type=int, default=7,

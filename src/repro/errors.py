@@ -40,7 +40,7 @@ class ConvergenceError(SimulationError):
 
 
 class CombinationalCycleError(SimulationError):
-    """Raised by the compiled backend when static scheduling finds a
+    """Raised by the codegen backend when static scheduling finds a
     combinational cycle in the handshake signal graph.
 
     The event-driven engine discovers the same defect only dynamically (as a

@@ -136,7 +136,7 @@ def simulate_kernel(
     :class:`SimulationError`.
 
     ``backend`` selects the simulation backend (``"event"`` /
-    ``"compiled"`` / ``"codegen"``; None uses
+    ``"codegen"``; None uses
     :data:`repro.sim.DEFAULT_BACKEND`), ``profile`` optionally collects
     hot-loop statistics, ``sanitize`` turns on the runtime
     handshake-protocol sanitizer (None defers to the
@@ -182,10 +182,9 @@ def simulate_kernel_batch(
     Equivalent to ``[simulate_kernel(lowered, seed=s, ...) for s in seeds]``
     — same per-lane cycle counts, fire counts, memory contents and
     reference checks, bit for bit — but the lane-parallel engine
-    (:class:`~repro.sim.batched.BatchedEngine`, used for ``"compiled"``
-    and ``"codegen"``) evaluates all lanes in one generated-loop pass,
-    so the batch costs far less wall clock than ``len(seeds)`` scalar
-    runs.  A batch with no lane loop to use — the event backend, or a
+    (:class:`~repro.sim.batched.BatchedEngine`, used for ``"codegen"``)
+    evaluates all lanes in one generated-loop pass, so the batch costs
+    far less wall clock than ``len(seeds)`` scalar runs.  A batch with no lane loop to use — the event backend, or a
     single seed — is exactly that list of scalar runs.
 
     ``sim_wall_s`` on every returned :class:`KernelRun` is the wall time

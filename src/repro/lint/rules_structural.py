@@ -193,7 +193,7 @@ def check_unreachable_units(ctx: LintContext, emit: Emit) -> None:
     paper="Sec. 2 (elastic buffering)",
 )
 def check_combinational_cycle(ctx: LintContext, emit: Emit) -> None:
-    """The same signal-graph cycle check :class:`CompiledEngine` performs
+    """The same signal-graph cycle check :class:`CodegenEngine` performs
     at build time, surfaced before anyone constructs an engine."""
     try:
         path = find_combinational_cycle(ctx.circuit)

@@ -56,7 +56,7 @@ class TechniqueResult:
     groups: List[List[str]] = field(default_factory=list)
     estimate: Optional[ResourceEstimate] = None
     #: Simulation backend that produced ``cycles`` (``""`` when the row
-    #: did not simulate).  The three backends are bit-identical, so this
+    #: did not simulate).  The backends are bit-identical, so this
     #: is provenance, not a metric.
     sim_backend: str = ""
     #: ``repro.lint`` diagnostic counts for the built circuit (0/0 when

@@ -1,38 +1,34 @@
 """Cycle-accurate handshake simulation (the ModelSim substitute).
 
-Three interchangeable backends simulate the same two-phase handshake
+Two interchangeable backends simulate the same two-phase handshake
 semantics:
 
 ``"event"``
     :class:`Engine` — the event-driven reference implementation: a dirty
     queue drives ``eval_comb`` re-evaluation to a per-cycle fixpoint.
-
-``"compiled"``
-    :class:`CompiledEngine` — compiles the circuit once into a static
-    rank-ordered evaluation schedule and replays it through specialized
-    per-unit closures, with activation gating and a big-integer fire
-    scan.  Bit-identical to the event engine (differentially tested)
-    and about twice as fast.  The backend for a :class:`SimProfile` and
-    for circuits with non-catalogue units, which codegen refuses.
+    The oracle every other engine is tested against, and the generic
+    path for circuits with non-catalogue units, which codegen refuses.
 
 ``"codegen"``
-    :class:`CodegenEngine` — emits specialized Python source for the
-    whole circuit from the same levelized schedule (unit logic inlined
-    over signal variables; no closure calls or dict dispatch on the hot
-    path), compiled in bounded pieces that run as generators sharing one
-    set of cells, and cached on disk under a content-addressed key.
-    Bit-identical to both other backends (differentially tested on all
-    goldens and under hypothesis lockstep) and the fastest, so it is
-    the default.  Rejects :class:`SimProfile` with a clear error.
+    :class:`CodegenEngine` — levelizes the circuit once into a static
+    occurrence schedule (:mod:`repro.sim.signal_graph`) and emits
+    specialized Python source for the whole circuit from it (unit logic
+    inlined over signal variables; no closure calls or dict dispatch on
+    the hot path), compiled in bounded pieces that run as generators
+    sharing one set of cells, and cached on disk under a
+    content-addressed key.  Bit-identical to the event engine
+    (differentially tested on all goldens and under hypothesis
+    lockstep) and the fastest, so it is the default.  A
+    :class:`SimProfile` selects its instrumented (profiled) source
+    variant.
 
 Select a backend with :func:`create_engine`, the ``--sim-backend`` CLI
 flag, or the ``REPRO_SIM_BACKEND`` environment variable.  With
-``lanes=B`` the same call returns the one lane-parallel engine,
+``lanes=B`` the same call returns the lane-parallel engine,
 :class:`~repro.sim.batched.BatchedEngine`, which runs ``B`` input sets
-per pass over lane tuples; it serves ``"compiled"`` and ``"codegen"``
-alike, and the event backend, which has no generated loop, refuses
-``lanes``.  Lanes are only a width: callers that batch seeds
-(:func:`repro.frontend.simulate_kernel_batch`, ``repro run``/``sweep
+per pass over lane tuples; the event backend, which has no generated
+loop, refuses ``lanes``.  Lanes are only a width: callers that batch
+seeds (:func:`repro.frontend.simulate_kernel_batch`, ``repro run``/``sweep
 --lanes``) run an event batch, and any one-seed batch, seed by seed on
 the scalar engines.  Every engine reports a deadlock or an exhausted
 cycle budget through one function,
@@ -51,7 +47,6 @@ import os
 from ..errors import SimulationError
 from .batched import BatchedEngine
 from .codegen import CodegenEngine
-from .compiled import CompiledEngine
 from .engine import DEFAULT_DEADLOCK_WINDOW, BaseEngine, Engine
 from .memory import Memory
 from .profile import SimProfile
@@ -61,7 +56,6 @@ from .trace import Trace
 #: Available simulation backends, by name.
 BACKENDS = {
     "event": Engine,
-    "compiled": CompiledEngine,
     "codegen": CodegenEngine,
 }
 
@@ -74,15 +68,15 @@ def create_engine(circuit, backend=None, lanes=None, memories=None,
                   **kwargs):
     """Instantiate the requested simulation backend for ``circuit``.
 
-    ``backend`` is ``"event"``, ``"compiled"``, ``"codegen"`` or ``None``
+    ``backend`` is ``"event"``, ``"codegen"`` or ``None``
     (use :data:`DEFAULT_BACKEND`); remaining keyword arguments
     (``memory``, ``trace``, ``deadlock_window``, ``profile``,
     ``sanitize``) are forwarded to the engine constructor.
 
-    ``lanes`` returns the lane-parallel :class:`BatchedEngine` instead
-    (the same class for ``"compiled"`` and ``"codegen"``): it evaluates
-    ``lanes`` independent input sets per pass and exposes ``run_lanes``
-    / ``sink_count`` / ``lane_fires`` instead of the scalar ``run``.
+    ``lanes`` returns the lane-parallel :class:`BatchedEngine` instead:
+    it evaluates ``lanes`` independent input sets per pass and exposes
+    ``run_lanes`` / ``sink_count`` / ``lane_fires`` instead of the scalar
+    ``run``.
     ``memories`` then supplies one :class:`Memory` per lane (instead of
     the scalar ``memory=`` argument).  The event backend has no
     lane-parallel loop and raises;
@@ -101,7 +95,7 @@ def create_engine(circuit, backend=None, lanes=None, memories=None,
         if name == "event":
             raise SimulationError(
                 "the event backend has no lane-parallel loop: pick "
-                "backend 'compiled' or 'codegen' for lanes=, or let "
+                "backend 'codegen' for lanes=, or let "
                 "simulate_kernel_batch run the event batch seed by seed"
             )
         if kwargs.get("memory") is not None:
@@ -124,7 +118,6 @@ __all__ = [
     "BaseEngine",
     "BatchedEngine",
     "CodegenEngine",
-    "CompiledEngine",
     "DEFAULT_BACKEND",
     "DEFAULT_DEADLOCK_WINDOW",
     "Engine",

@@ -42,9 +42,9 @@ recorded then); a *partial* mask is itself a divergence and promotes to
 mask mode, where the finished lanes' ``live`` bits are cleared and they
 coast with frozen state while the rest run to completion.
 
-One engine, :class:`BatchedEngine`, serves every lane count and both
-generated-loop backends (``create_engine(..., lanes=B)`` returns it for
-``"compiled"`` and ``"codegen"``).  It shares its set-up with the scalar
+One engine, :class:`BatchedEngine`, serves every lane count
+(``create_engine(..., lanes=B)`` returns it for ``"codegen"``).  It
+shares its set-up with the scalar
 :class:`~repro.sim.codegen.CodegenEngine`
 (:func:`~repro.sim.codegen.bind_loop_state`: schedule, signal arrays,
 activation flags, module load), so the laned module is memoized

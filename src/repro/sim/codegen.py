@@ -1,12 +1,11 @@
 """Specializing codegen simulation backend (the default).
 
-The compiled backend (:mod:`repro.sim.compiled`) already minimizes how
-*often* each unit is evaluated; what it cannot remove is the interpreter
-overhead of the evaluation itself — every active occurrence is a closure
-call, every signal access an indexed container operation.  This backend
-removes that floor the way RTL simulators do: it **emits specialized
-Python source for the whole circuit** from the same levelized schedule,
-in which
+The levelized occurrence schedule (:mod:`repro.sim.signal_graph`)
+minimizes how *often* each unit is evaluated; interpreting it would
+still pay a closure call per active occurrence and an indexed container
+operation per signal access.  This backend removes that floor the way
+RTL simulators do: it **emits specialized Python source for the whole
+circuit** from the schedule, in which
 
 * every channel's valid/ready/data signal is one variable
   (``v17``/``r17``/``d17``), not an array slot,
@@ -44,10 +43,9 @@ status ``0`` = budget exhausted, ``1`` = ``done()`` satisfied, ``2`` =
 deadlock window exceeded, ``3`` = ``max_cycles`` reached.  The loop
 reaches its engine through a weak reference, so nothing it holds refers
 back to the engine and a finished engine is freed at once.  The per-unit
-blocks are exact transcriptions of the compiled backend's specialized
-closures (:mod:`repro.sim.codegen_blocks`), so the backend stays
-bit-identical to both other engines and is differentially tested
-against them.
+blocks are exact source transcriptions of the units' ``eval_comb`` and
+``tick`` (:mod:`repro.sim.codegen_blocks`), and the backend is
+differentially tested bit-for-bit against the event oracle.
 
 Generated modules are cached at two levels: a memo of the last few
 modules' piece code objects in process, and a content-addressed disk
@@ -59,9 +57,14 @@ interpreter's bytecode magic, so editing any repro module — in
 particular this generator — or switching Python versions can never
 serve stale code.
 
-:class:`~repro.sim.profile.SimProfile` is rejected at construction: the
-generated loop has no per-unit instrumentation points.  The compiled
-backend serves profiles, and circuits with non-catalogue units.
+A :class:`~repro.sim.profile.SimProfile` selects the *profiled* source
+variant: every occurrence block counts its unit's evaluation, every
+clock-edge pass-1 block its unit's tick, and the main piece times the
+combinational, fire-scan and tick phases and counts cycles, fires and
+quiet cycles, flushing them into the profile when ``loop`` returns.  Its
+header names the variant, so its cache key differs from the unprofiled
+module's.  Circuits with non-catalogue units are refused; the event
+backend simulates them.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ import tempfile
 import weakref
 from collections import OrderedDict
 from pathlib import Path
+from time import perf_counter
 from types import CellType, CodeType, FunctionType
 from typing import (
     TYPE_CHECKING,
@@ -253,7 +257,8 @@ def unsupported_units(units, schedule: CircuitSchedule) -> List[str]:
 
 def generate_pieces(circuit: DataflowCircuit,
                     schedule: CircuitSchedule,
-                    lanes: bool = False) -> List[str]:
+                    lanes: bool = False,
+                    profiled: bool = False) -> List[str]:
     """Emit the specialized simulation module for ``circuit`` as pieces.
 
     Returns the piece texts in module order: the main ``loop`` piece
@@ -278,6 +283,13 @@ def generate_pieces(circuit: DataflowCircuit,
     independently.  The lane count itself is a runtime binding (``LB``),
     so one laned module serves every batch width — but laned and scalar
     source always differ (distinct disk-cache keys).
+
+    ``profiled=True`` emits the scalar loop instrumented for a
+    :class:`~repro.sim.profile.SimProfile`: ``EC[s] += 1`` in every
+    occurrence block and ``TC[s] += 1`` in every pass-1 tick block (the
+    profile's count lists, bound by :func:`link_loop`), and phase timers
+    and cycle/fire/quiet counters in the main piece, flushed into
+    ``rt.profile`` on exit.  Unprofiled source is unchanged by it.
     """
     units = [circuit.units[n] for n in schedule.names]
     bad = unsupported_units(units, schedule)
@@ -285,7 +297,7 @@ def generate_pieces(circuit: DataflowCircuit,
         raise SimulationError(
             "the codegen backend cannot specialize this circuit:\n  "
             + "\n  ".join(bad)
-            + "\nuse --sim-backend compiled (or event) for it"
+            + "\nuse --sim-backend event for it"
         )
     eval_blocks = LANE_EVAL_BLOCKS if lanes else EVAL_BLOCKS
     tick_blocks = LANE_TICK_BLOCKS if lanes else TICK_BLOCKS
@@ -386,6 +398,8 @@ def generate_pieces(circuit: DataflowCircuit,
             s = schedule.occ_units[k]
             u = units[s]
             lines += [f"{_B}    if a{k}:", f"{_B}        a{k} = 0"]
+            if profiled:
+                lines.append(f"{_B}        EC[{s}] += 1")
             lines += [f"{_B}        {x}" for x in eval_blocks[type(u)](
                 s, u, in_chs[s], out_chs[s], schedule)]
             uses += signals(s)
@@ -457,6 +471,8 @@ def generate_pieces(circuit: DataflowCircuit,
             member = f"if t{s} or k{s}:" if s in carry else f"if t{s}:"
             lines += [f"{_B}    {member}", f"{_B}        t{s} = 0",
                       f"{_B}        tb{s} = ticked = tgb{g} = 1"]
+            if profiled:
+                lines.append(f"{_B}        TC[{s}] += 1")
             lines += [f"{_B}        {x}" for x in tick_blocks[type(u)][0](
                 s, u, in_chs[s], out_chs[s], schedule)]
             uses += signals(s)
@@ -489,7 +505,12 @@ def generate_pieces(circuit: DataflowCircuit,
     post = sec.close()
 
     # -- the main piece: prologue, cycle loop, epilogue --------------------
-    variant = "laned" if lanes else "scalar"
+    variant = "laned" if lanes else "profiled" if profiled else "scalar"
+
+    def prof(*lines: str) -> List[str]:
+        """``lines`` in the profiled variant, nothing in the others."""
+        return list(lines) if profiled else []
+
     P = " " * 8  # prologue indent
     # The laned loop wraps its cycle loop in try/except LaneDivergence
     # (exit status 4: the batched engine promotes to the mask loop), so
@@ -517,6 +538,8 @@ def generate_pieces(circuit: DataflowCircuit,
         P + "total_fires = rt.total_fires",
         P + "status = 0",
         P + "fires = 0",
+        *prof(P + "_c0, _f0, _nq = cycle, total_fires, 0",
+              P + "_cs = _fs = _ts = 0.0"),
     ]
     if lanes:
         L.append(P + "try:")
@@ -532,6 +555,7 @@ def generate_pieces(circuit: DataflowCircuit,
         B + "budget -= 1",
         B + "if quiet:",
         B + "    fires = 0",
+        *prof(B + "    _nq += 1"),
         B + "    if san is not None:",
         B + "        san.observe_quiet()",
         B + "    cycle += 1",
@@ -540,11 +564,13 @@ def generate_pieces(circuit: DataflowCircuit,
         B + "        status = 2",
         B + "        break",
         B + "    continue",
+        *prof(B + "_t0 = PC()"),
         B + "# combinational pass",
     ]
     _calls(L, comb, B)
-    L += [B + "# fire scan", B + "fires = 0"]
+    L += [*prof(B + "_t1 = PC()"), B + "# fire scan", B + "fires = 0"]
     _calls(L, fire, B)
+    L += prof(B + "_t2 = PC()")
     # The sanitizer observes the fixpoint (arrays synced on demand).
     L.append(B + "if san is not None:")
     _calls(L, publish, B + "    ")
@@ -564,6 +590,8 @@ def generate_pieces(circuit: DataflowCircuit,
         L.append(B + "if ticked:")
         _calls(L, post, B + "    ")
     L += [
+        *prof(B + "_t3 = PC()",
+              B + "_cs += _t1 - _t0; _fs += _t2 - _t1; _ts += _t3 - _t2"),
         B + "quiet = 0 if (fires or ticked) else 1",
         B + "idle = 0 if progress else idle + 1",
         B + "cycle += 1",
@@ -588,6 +616,14 @@ def generate_pieces(circuit: DataflowCircuit,
         P + "rt._idle_cycles = idle",
         P + "rt.total_fires = total_fires",
         P + "rt._quiet = quiet",
+        *prof(P + "pr = rt.profile",
+              P + "pr.cycles += cycle - _c0",
+              P + "pr.fires += total_fires - _f0",
+              P + "pr.quiet_cycles += _nq",
+              P + "pr.comb_s += _cs",
+              P + "pr.fire_s += _fs",
+              P + "pr.tick_s += _ts",
+              P + "pr.wall_s += _cs + _fs + _ts"),
         P + "return status, fires",
         "    return loop",
         "",
@@ -986,12 +1022,13 @@ def load_module(pieces: List[str],
     return codes, origin
 
 
-def bind_loop_state(rt, circuit: DataflowCircuit,
-                    lanes: bool = False) -> Tuple[CodeType, ...]:
+def bind_loop_state(rt, circuit: DataflowCircuit, lanes: bool = False,
+                    profiled: bool = False) -> Tuple[CodeType, ...]:
     """The set-up :class:`CodegenEngine` and the laned
     :class:`~repro.sim.batched.BatchedEngine` share: bind on ``rt`` the
     schedule, units, signal arrays and activation flags the generated
-    loop reads, load the module and record its ``codegen_key`` and
+    loop reads, load the module (the ``lanes`` or ``profiled`` variant
+    of :func:`generate_pieces`) and record its ``codegen_key`` and
     ``codegen_origin`` (``"generated"``/``"disk"``/``"memory"``).
     Returns the piece code objects; the caller resets its units, then
     calls :func:`link_loop`."""
@@ -1008,7 +1045,8 @@ def bind_loop_state(rt, circuit: DataflowCircuit,
     rt._aflags = bytearray(b"\x01" * schedule.n_occ)
     rt._kflags = bytearray(schedule.n_units)
     rt._quiet = False
-    pieces = generate_pieces(circuit, schedule, lanes=lanes)
+    pieces = generate_pieces(circuit, schedule, lanes=lanes,
+                             profiled=profiled)
     rt.codegen_key = source_key(pieces)
     codes, rt.codegen_origin = load_module(pieces, rt.codegen_key)
     return codes
@@ -1018,7 +1056,9 @@ def _globals(rt, lanes: Optional[int]) -> dict:
     """The read-only names of ``rt``'s generated loop: its arrays, a weak
     reference to ``rt`` itself (``W``), and per unit ``u{s}`` plus the
     compute function, operand constants and token values its blocks
-    read (as lane tuples when ``lanes`` is a width)."""
+    read (as lane tuples when ``lanes`` is a width).  With a bound
+    ``rt.profile`` also the profiled variant's count lists (``EC``,
+    ``TC``) and timer (``PC``)."""
     g = {
         "__builtins__": builtins,
         "CircuitError": CircuitError,
@@ -1054,6 +1094,10 @@ def _globals(rt, lanes: Optional[int]) -> dict:
             g["mrd"], g["mwr"] = rt._mrd, rt._mwr
     elif needs_mem:
         g["mrd"], g["mwr"] = rt.memory.read, rt.memory.write
+    profile = getattr(rt, "profile", None)
+    if profile is not None:
+        g.update(EC=profile.eval_counts, TC=profile.tick_counts,
+                 PC=perf_counter)
     return g
 
 
@@ -1101,7 +1145,7 @@ def run_generated(rt, loop, done, max_cycles: int, *extra) -> int:
 
 
 class CodegenEngine(BaseEngine):
-    """Specialized-source simulator; bit-identical to both other backends."""
+    """Specialized-source simulator; bit-identical to the event engine."""
 
     backend = "codegen"
 
@@ -1114,16 +1158,12 @@ class CodegenEngine(BaseEngine):
         profile: Optional[SimProfile] = None,
         sanitize: Union[bool, "HandshakeSanitizer", None] = None,
     ):
-        if profile is not None:
-            raise SimulationError(
-                "the codegen backend cannot drive a SimProfile: the "
-                "generated hot loop has no per-unit instrumentation "
-                "points; use --sim-backend compiled (or event) to profile"
-            )
         self._init_common(
-            circuit, memory, trace, deadlock_window, None, sanitize
+            circuit, memory, trace, deadlock_window, profile, sanitize
         )
-        codes = bind_loop_state(self, circuit)
+        codes = bind_loop_state(self, circuit, profiled=profile is not None)
+        if profile is not None:
+            profile.bind(self.schedule.names, self.backend)
         self._reset_units(self._units)
         self._loop = link_loop(self, codes)["loop"]
 

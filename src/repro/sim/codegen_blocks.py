@@ -4,21 +4,26 @@ Each emitter renders one unit's combinational evaluation (or clock-edge
 transition) as straight-line Python statements over *local variables*:
 channel ``c``'s forward signal lives in locals ``v{c}``/``d{c}``, its
 backward signal in ``r{c}``, and occurrence ``k``'s activation flag in
-``a{k}``.  The blocks are exact source-level transcriptions of the
-specialized closures in :mod:`repro.sim.compiled` — same driven values,
-same change-detection points, same activation semantics — with every
-dynamic structure (activation lists, port index loops, priority orders)
-unrolled into constants, so the hot loop runs no closure calls, no dict
-dispatch and no attribute lookups on the fast path.
+``a{k}``.  The blocks are exact source-level transcriptions of the units'
+``eval_comb`` and ``tick`` — same driven values, same change-detection
+points, activation along the levelized schedule's lists
+(:mod:`repro.sim.signal_graph`) — with every dynamic structure
+(activation lists, port index loops, priority orders) unrolled into
+constants, so the hot loop runs no closure calls, no dict dispatch and no
+attribute lookups on the fast path.
 
-Clock-edge blocks run in two passes (see the compiled backend): the
-``tk`` pass commits sequential state reading the cycle's pristine
-fixpoint — no signal local is written during that pass, so ``fired`` of
-channel ``c`` is simply ``(v{c} and r{c})`` and needs no storage — and
-the ``pk`` pass recomputes the ticked unit's driven signals with the
-usual change detection.  Pipelined units additionally report their carry
-flag (can the unit progress without any channel firing?) into the
-persistent local ``k{slot}``.
+Clock-edge blocks run in two passes over the ticked units: the ``tk``
+pass commits sequential state reading the cycle's pristine fixpoint — no
+signal local is written during that pass, so ``fired`` of channel ``c``
+is simply ``(v{c} and r{c})`` and needs no storage — and the ``pk`` pass
+recomputes the ticked unit's driven signals with the usual change
+detection, activating downstream occurrences only.  A ``pk`` may read
+signals another ``pk`` has already rewritten; that is safe for the same
+reason the single-pass schedule is exact: any later change to one of its
+inputs re-activates the unit's occurrence, and the next combinational
+pass corrects the provisional values.  Pipelined units additionally
+report their carry flag (can the unit progress without any channel
+firing?) into the persistent local ``k{slot}``.
 """
 
 from __future__ import annotations

@@ -18,11 +18,12 @@ internal pipeline progress for ``deadlock_window`` consecutive cycles, the
 run aborts with a :class:`~repro.errors.DeadlockError` carrying a diagnosis
 of the blocking structure (see :mod:`repro.sim.deadlock`).
 
-This module holds the *event-driven* engine — the reference semantics.  A
-second backend (:mod:`repro.sim.compiled`) compiles the circuit into a
-static evaluation schedule and replays it; it must be bit-identical to this
-one and is differentially tested against it.  Shared machinery (the run
-loop, deadlock accounting, memory binding) lives in :class:`BaseEngine`.
+This module holds the *event-driven* engine — the reference semantics.  The
+default backend (:mod:`repro.sim.codegen`) levelizes the circuit into a
+static evaluation schedule and emits it as specialized source; it must be
+bit-identical to this one and is differentially tested against it.  Shared
+machinery (the run loop, deadlock accounting, memory binding) lives in
+:class:`BaseEngine`.
 """
 
 from __future__ import annotations
@@ -77,12 +78,12 @@ def raise_stopped(engine, status: int, max_cycles: int, valid=None,
 
 
 class BaseEngine:
-    """Common harness shared by the event-driven and compiled backends.
+    """Common harness shared by the event-driven and codegen backends.
 
     Subclasses implement ``step()`` (one clock cycle, returning the number
     of channel fires) and maintain ``cycle`` / ``total_fires`` /
     ``_idle_cycles``; everything above the per-cycle hot loop — the run
-    loop, deadlock detection, memory binding, profile adoption — is
+    loop, deadlock detection, memory binding, the sanitizer — is
     identical across backends and lives here.
     """
 
@@ -144,17 +145,8 @@ class BaseEngine:
                     )
                 u.memory = self.memory
 
-    def _adopt_profile(self, units) -> None:
-        """Switch to the instrumented step loop when a profile was given."""
-        if self.profile is not None:
-            self.profile.bind([u.name for u in units], self.backend)
-            self.step = self._step_profiled
-
     # ---------------------------------------------------------------- step
     def step(self) -> int:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _step_profiled(self) -> int:  # pragma: no cover - overridden
         raise NotImplementedError
 
     # ----------------------------------------------------------------- run
@@ -281,7 +273,10 @@ class Engine(BaseEngine):
 
         # First cycle evaluates everything.
         self._seed_all()
-        self._adopt_profile(self._units)
+        if profile is not None:
+            # Switch to the instrumented step loop.
+            profile.bind(names, self.backend)
+            self.step = self._step_profiled
 
     def _seed_all(self) -> None:
         for i in range(len(self._units)):

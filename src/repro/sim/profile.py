@@ -1,12 +1,12 @@
 """Simulation observability: where do the simulator's cycles go?
 
 A :class:`SimProfile` can be handed to either simulation backend
-(``Engine(..., profile=p)`` / ``CompiledEngine(..., profile=p)``, or
+(``Engine(..., profile=p)`` / ``CodegenEngine(..., profile=p)``, or
 ``create_engine(..., profile=p)``).  The engine then runs an instrumented
-step loop that accumulates
+step loop — for codegen, its profiled source variant — that accumulates
 
 * per-unit combinational evaluation counts (which units the simulator
-  actually touches — the event engine's sparsity and the compiled
+  actually touches — the event engine's sparsity and the codegen
   backend's activation gating make this far from uniform),
 * per-phase wall-clock time: combinational settling, the fire scan, and
   the sequential tick phase,
@@ -38,7 +38,7 @@ class SimProfile:
         self.wall_s: float = 0.0
         self.cycles: int = 0
         self.fires: int = 0
-        #: Cycles the compiled backend's quiet-cycle fast path skipped.
+        #: Cycles the codegen backend's quiet-cycle fast path skipped.
         self.quiet_cycles: int = 0
 
     # Called once by the engine that adopts this profile.

@@ -1,17 +1,48 @@
-"""Static handshake signal graph shared by the compiled backend and lint.
+"""Static handshake signal graph and schedule, shared by codegen and lint.
 
-Every channel contributes two signal nodes: node ``2*cid`` is the channel's
-forward signal (valid/data, driven by the producer) and node ``2*cid + 1``
-is its backward signal (ready, driven by the consumer).  Each unit declares
-through :meth:`~repro.circuit.unit.Unit.comb_deps` which observed signals
-each of its driven signals combinationally depends on; registered paths
-contribute no edges, which is what makes the graph acyclic in a legal
-elastic circuit.
+For a fixed circuit the combinational evaluation order never changes, so
+the event engine's dirty queue, change-detecting setters and fixpoint
+loop are interpretive overhead.  This module derives the order **once**:
 
-:class:`~repro.sim.compiled.CompiledEngine` levelizes this graph into its
-static evaluation schedule; ``repro.lint`` walks the same graph to surface
-combinational handshake cycles (rule ``ST005``) *before* anyone tries to
-build an engine.
+1.  **Signal graph.**  Every channel contributes two signal nodes: node
+    ``2*cid`` is its forward signal (valid/data, driven by the producer)
+    and node ``2*cid + 1`` its backward signal (ready, driven by the
+    consumer).  Each unit declares, via
+    :meth:`~repro.circuit.unit.Unit.comb_deps`, which observed signals
+    each of its driven signals combinationally depends on; registered
+    paths (buffers, pipeline heads, credit counters) contribute no edges,
+    which is exactly what makes the graph acyclic in a legal elastic
+    circuit.
+2.  **Levelization.**  The graph is topologically sorted with
+    longest-path ranks.  A combinational cycle (a graph cycle with no
+    sequential element on it) is rejected with a
+    :class:`~repro.errors.CombinationalCycleError` naming the signal path
+    — the event engine only notices the same defect dynamically, as a
+    fixpoint that never converges.  ``repro.lint`` walks the same graph
+    to surface such cycles (rule ``ST005``) before anyone builds an
+    engine.
+3.  **Occurrence schedule.**  A unit is evaluated once per distinct rank
+    among the signals it drives, in ascending rank order.  Evaluating the
+    occurrences in schedule order computes the exact handshake fixpoint
+    in a single pass: on an acyclic graph the fixpoint is unique, and by
+    the time a signal's rank is reached all of its dependencies hold
+    final values.  (Earlier occurrences may overwrite higher-rank signals
+    with provisional values; those are recomputed at their proper rank,
+    and no unit in the catalogue consumes a *data* value before the blob
+    dependencies that guard it are final.)
+4.  **Activation gating.**  Most units see no new tokens most cycles, so
+    replaying the full schedule would waste the sparsity the event engine
+    exploits.  Each occurrence has an activation flag; a change-detected
+    signal write activates exactly the occurrences that finalize the
+    signals depending on it (always *later* in the schedule — the pass
+    never loops), and a ticked unit recomputes its driven signals at the
+    clock edge with the same change detection.  A cycle in which nothing
+    fired and nothing ticked leaves no activations: the circuit state
+    provably cannot change any more, and the quiet-cycle fast path skips
+    the whole hot loop.
+
+:class:`~repro.sim.codegen.CodegenEngine` emits the schedule as
+specialized source (:func:`compile_schedule` is its input).
 """
 
 from __future__ import annotations
@@ -203,7 +234,7 @@ def find_combinational_cycle(circuit) -> Optional[List[str]]:
     """Return one combinational handshake cycle in ``circuit``, or None.
 
     The returned list holds the signal descriptions on the cycle, in
-    dependency order — the same path :class:`CompiledEngine` would report
+    dependency order — the same path :class:`CodegenEngine` would report
     through :class:`~repro.errors.CombinationalCycleError` at build time.
     """
     sg = build_signal_graph(circuit)
@@ -216,15 +247,16 @@ def find_combinational_cycle(circuit) -> Optional[List[str]]:
 # ---------------------------------------------------------------------------
 # Levelized schedule, memoized per circuit structure.
 #
-# Both static backends (compiled, codegen) start from the same derived data:
-# the occurrence schedule, the per-signal activation lists and the clock-edge
-# maps.  All of it is a pure function of the circuit *structure* — unit
-# enumeration, per-unit ``comb_deps`` and channel connectivity — and none of
-# it references unit objects, so identical-structure circuits (every rerun of
-# the same (kernel, technique, style, scale) configuration) can share one
-# schedule.  ``compile_schedule`` memoizes on :func:`structure_key` within
-# the process, which removes re-levelization from sweep differential tests
-# and repeated engine builds.
+# The codegen backend's variants (scalar, profiled, laned) start from the
+# same derived data: the occurrence schedule, the per-signal activation lists
+# and the clock-edge maps.  All of it is a pure function of the circuit
+# *structure* — unit enumeration, per-unit ``comb_deps`` and channel
+# connectivity — and none of it references unit objects, so
+# identical-structure circuits (every rerun of the same (kernel, technique,
+# style, scale) configuration) can share one schedule.
+# ``compile_schedule`` memoizes on :func:`structure_key` within the process,
+# which removes re-levelization from sweep differential tests and repeated
+# engine builds.
 # ---------------------------------------------------------------------------
 
 
@@ -242,18 +274,13 @@ class CircuitSchedule:
     names: Tuple[str, ...]
     in_chs: Tuple[Tuple[int, ...], ...]
     out_chs: Tuple[Tuple[int, ...], ...]
-    cons_unit: Tuple[int, ...]
-    prod_unit: Tuple[int, ...]
-    n_ranks: int
     #: Occurrence k evaluates unit ``occ_units[k]``; ascending rank order.
     occ_units: Tuple[int, ...]
-    occs_of_unit: Tuple[Tuple[int, ...], ...]
     #: Forward/backward activation lists: occurrence indices to activate
     #: when channel c's valid/data (resp. ready) signal changes.
     f_act: Tuple[Tuple[int, ...], ...]
     b_act: Tuple[Tuple[int, ...], ...]
     tickable: bytes
-    has_quiescent: bytes
     #: Tickable unit slots adjacent to channel c (consumer then producer).
     tick_mark: Tuple[Tuple[int, ...], ...]
 
@@ -343,12 +370,8 @@ def compile_schedule(circuit) -> CircuitSchedule:
         driven += [2 * c + 1 for c in in_chs[s] if c >= 0]
         occ_ranks.append(sorted({rank[n] for n in driven}))
     sched = sorted((r, s) for s in range(n_units) for r in occ_ranks[s])
-    n_ranks = 1 + max((r for r, _ in sched), default=-1)
     occ_index = {(s, r): k for k, (r, s) in enumerate(sched)}
     occ_units = tuple(s for _, s in sched)
-    occs_of_unit: List[List[int]] = [[] for _ in range(n_units)]
-    for k, s in enumerate(occ_units):
-        occs_of_unit[s].append(k)
 
     # Per-signal activation lists: a change of channel c's forward (resp.
     # backward) signal activates the occurrence that finalizes each signal
@@ -366,12 +389,7 @@ def compile_schedule(circuit) -> CircuitSchedule:
         else:
             f_act[node >> 1] = acts
 
-    from ..circuit import Unit as _Unit
-
     tickable = bytes(1 if u.needs_tick() else 0 for u in units)
-    has_quiescent = bytes(
-        1 if type(u).quiescent is not _Unit.quiescent else 0 for u in units
-    )
     tick_mark: List[Tuple[int, ...]] = []
     for c in range(nch):
         ms = []
@@ -389,15 +407,10 @@ def compile_schedule(circuit) -> CircuitSchedule:
         names=tuple(circuit.units),
         in_chs=tuple(tuple(cs) for cs in in_chs),
         out_chs=tuple(tuple(cs) for cs in out_chs),
-        cons_unit=tuple(cons_unit),
-        prod_unit=tuple(prod_unit),
-        n_ranks=n_ranks,
         occ_units=occ_units,
-        occs_of_unit=tuple(tuple(ks) for ks in occs_of_unit),
         f_act=tuple(f_act),
         b_act=tuple(b_act),
         tickable=tickable,
-        has_quiescent=has_quiescent,
         tick_mark=tuple(tick_mark),
     )
     _SCHEDULE_CACHE[key] = schedule

@@ -36,9 +36,9 @@ class SweepJob:
     size_overrides: Tuple[Tuple[str, int], ...] = ()
     simulate: bool = True
     max_cycles: int = 4_000_000
-    #: Simulation backend (``"event"`` / ``"compiled"`` / ``"codegen"``;
-    #: None = default).  Part of the cache key: backends are bit-identical,
-    #: but a cached row must record which engine actually produced it.
+    #: Simulation backend (``"event"`` / ``"codegen"``; None = default).
+    #: Part of the cache key: backends are bit-identical, but a cached
+    #: row must record which engine actually produced it.
     sim_backend: Optional[str] = None
     #: Input-data seed (``cycles`` depends on it for data-dependent
     #: kernels).  Jobs differing only in seed are candidates for one

@@ -76,7 +76,8 @@ def summarize(outcome: SweepOutcome) -> str:
         f"  executed time  : {outcome.executed_time_s:.2f} s "
         f"(sum over cache misses)",
     ]
-    if outcome.cache_misses:
+    if outcome.cache_misses and outcome.workers >= 1:
+        # A serial sweep's executed time is its wall time: no speedup.
         lines.append(
             f"  aggregate speedup vs serial: {outcome.speedup:.2f}x"
         )

@@ -145,7 +145,7 @@ class TestSoundnessGate:
         prep = prepare_circuit(name, technique, scale="small")
         report = analyze_kernel(prep.lowered.kernel)
         measurements = measure_dependences(
-            prep.lowered, report=report, backend="compiled",
+            prep.lowered, report=report, backend="event",
         )
         assert measurements  # every kernel touches memory
         assert {(m.a, m.b) for m in measurements} == {
@@ -159,7 +159,7 @@ class TestSoundnessGate:
             # Ports actually issued addresses — the trace is not vacuous.
             assert m.a_addresses > 0 and m.b_addresses > 0
 
-    @pytest.mark.parametrize("backend", ["event", "compiled", "codegen"])
+    @pytest.mark.parametrize("backend", ["event", "codegen"])
     def test_backends_agree_on_footprints(self, backend):
         """The recorded address counts are a deterministic function of
         the kernel, not the engine."""
@@ -169,7 +169,7 @@ class TestSoundnessGate:
             (m.a, m.b, m.observed_alias, m.a_addresses, m.b_addresses)
             for m in got
         ]
-        base = measure_dependences(prep.lowered, backend="compiled")
+        base = measure_dependences(prep.lowered, backend="event")
         assert key == [
             (m.a, m.b, m.observed_alias, m.a_addresses, m.b_addresses)
             for m in base
@@ -181,7 +181,7 @@ class TestSoundnessGate:
         ``lsq-required`` class is not vacuous (and that an ``unknown``
         alias is expected, not a soundness failure)."""
         prep = prepare_circuit("histogram", "naive", scale="small")
-        measurements = measure_dependences(prep.lowered, backend="compiled")
+        measurements = measure_dependences(prep.lowered, backend="event")
         (self_store,) = [
             m for m in measurements
             if m.a == m.b and m.a == "h#st0"

@@ -24,7 +24,7 @@ from repro.circuit import (
 )
 from repro.errors import CombinationalCycleError
 from repro.lint import LintConfig, run_lint
-from repro.sim import CompiledEngine
+from repro.sim import CodegenEngine
 
 
 def clean_pipeline():
@@ -145,16 +145,16 @@ def test_st005_combinational_ring():
     c = ring(TransparentFifo, TransparentFifo)
     rep = run_lint(c, cfcs=[])
     assert "ST005" in rep.codes()
-    # Lint surfaces exactly what the compiled engine would die on.
+    # Lint surfaces exactly what the codegen engine would die on.
     with pytest.raises(CombinationalCycleError):
-        CompiledEngine(c)
+        CodegenEngine(c)
 
 
 def test_st005_removing_the_buffer_introduces_the_cycle():
     # With an ElasticBuffer on the ring the path is registered: clean.
     buffered = ring(ElasticBuffer, TransparentFifo)
     assert "ST005" not in run_lint(buffered, cfcs=[]).codes()
-    CompiledEngine(buffered)  # builds fine
+    CodegenEngine(buffered)  # builds fine
     # Mutation: swap the sequential element for a transparent one.
     bare = ring(TransparentFifo, TransparentFifo)
     assert "ST005" in run_lint(bare, cfcs=[]).codes()

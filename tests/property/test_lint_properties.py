@@ -1,7 +1,7 @@
-"""Property-based tests tying static lint to the compiled backend.
+"""Property-based tests tying static lint to the codegen backend.
 
 The contract the lint subsystem advertises: a circuit with no lint
-*errors* is safe to hand to :class:`CompiledEngine` — in particular it
+*errors* is safe to hand to :class:`CodegenEngine` — in particular it
 never dies with :class:`CombinationalCycleError` at build time (that is
 exactly what ST005 screens for).  We generate random fully-connected
 choice-free circuits (chains, joins, forks, buffers, pipelined and
@@ -22,7 +22,7 @@ from repro.circuit import (
 )
 from repro.errors import CombinationalCycleError
 from repro.lint import run_lint
-from repro.sim import CompiledEngine
+from repro.sim import CodegenEngine
 
 STEPS = st.lists(
     st.sampled_from(["eb", "tf", "pass", "fadd", "fmul", "join", "fork"]),
@@ -78,8 +78,8 @@ def test_lint_clean_choice_free_circuits_compile(n_sources, steps):
     rep = run_lint(c, cfcs=[])
     # Fully-connected acyclic choice-free circuits must lint clean...
     assert not rep.errors, rep.format()
-    # ...and the compiled backend must accept them (no cycle error).
-    CompiledEngine(c)
+    # ...and the codegen backend must accept them (no cycle error).
+    CodegenEngine(c)
 
 
 def _with_ring(n_sources, steps, registered):
@@ -96,19 +96,19 @@ def _with_ring(n_sources, steps, registered):
 
 @settings(max_examples=40, deadline=None)
 @given(n_sources=st.integers(1, 2), steps=STEPS)
-def test_st005_agrees_with_compiled_engine(n_sources, steps):
-    """Lint's ST005 verdict and CompiledEngine's build-time
+def test_st005_agrees_with_codegen_engine(n_sources, steps):
+    """Lint's ST005 verdict and CodegenEngine's build-time
     CombinationalCycleError must agree exactly, whatever surrounds the
     ring."""
     # Transparent through both arms: ST005 fires, the engine refuses.
     bad = _with_ring(n_sources, steps, registered=False)
     assert "ST005" in run_lint(bad, cfcs=[]).codes()
     try:
-        CompiledEngine(bad)
+        CodegenEngine(bad)
         raise AssertionError("expected CombinationalCycleError")
     except CombinationalCycleError:
         pass
     # One registered arm: both verdicts clear.
     good = _with_ring(n_sources, steps, registered=True)
     assert "ST005" not in run_lint(good, cfcs=[]).codes()
-    CompiledEngine(good)
+    CodegenEngine(good)

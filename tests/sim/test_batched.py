@@ -115,7 +115,7 @@ def _run_batched(lowered, seeds, backend):
 def test_batched_bit_identical_on_goldens(kernel, technique):
     lowered = _prepare(kernel, technique)
     scalar = {
-        s: simulate_kernel(lowered, seed=s, backend="compiled")
+        s: simulate_kernel(lowered, seed=s, backend="event")
         for s in SEEDS[:max(LANE_COUNTS)]
     }
     for lanes in LANE_COUNTS:
@@ -231,7 +231,7 @@ def test_partial_done_mask_freezes_lanes_via_mask_promotion():
     values = [2.0, 3.0, 5.0, 8.0]
     targets = [1, 4, 2]  # lane l is done after targets[l] sink tokens
     c = _chain_circuit(values)
-    engine = create_engine(c, backend="compiled", lanes=3)
+    engine = create_engine(c, backend="codegen", lanes=3)
     cycles = engine.run_lanes(
         lambda lane: engine.sink_count("out", lane) >= targets[lane],
         uniform_done=False,
@@ -241,7 +241,7 @@ def test_partial_done_mask_freezes_lanes_via_mask_promotion():
     assert engine.divergence.channel == "done"
     for lane, target in enumerate(targets):
         c_ref = _chain_circuit(values)
-        ref = create_engine(c_ref, backend="compiled")
+        ref = create_engine(c_ref, backend="event")
         sink = c_ref.units["out"]
         ref_cycles = ref.run(lambda: sink.count >= target)
         assert cycles[lane] == ref_cycles, lane
@@ -283,14 +283,14 @@ def _pipeline_circuit(values, stages, slots, transparent):
     return c
 
 
-def _assert_lanes_match_scalar(make_circuit, n_tokens, lanes, backend):
+def _assert_lanes_match_scalar(make_circuit, n_tokens, lanes):
     c_ref = make_circuit()
     ref = create_engine(c_ref, backend="event")
     sink = c_ref.units["out"]
     ref_cycles = ref.run(lambda: sink.count >= n_tokens, max_cycles=3_000)
 
     c_b = make_circuit()
-    engine = create_engine(c_b, backend=backend, lanes=lanes)
+    engine = create_engine(c_b, backend="codegen", lanes=lanes)
     cycles = engine.run_lanes(
         lambda lane: engine.sink_count("out", lane) >= n_tokens,
         max_cycles=3_000, uniform_done=True,
@@ -305,13 +305,12 @@ def _assert_lanes_match_scalar(make_circuit, n_tokens, lanes, backend):
 @given(values=values_strategy, stages=stages_strategy,
        slots=st.integers(min_value=1, max_value=3),
        transparent=st.booleans(),
-       lanes=st.integers(min_value=1, max_value=5),
-       backend=st.sampled_from(["compiled", "codegen"]))
+       lanes=st.integers(min_value=1, max_value=5))
 def test_random_pipelines_batched_lanes_match_scalar(
-        values, stages, slots, transparent, lanes, backend):
+        values, stages, slots, transparent, lanes):
     _assert_lanes_match_scalar(
         lambda: _pipeline_circuit(values, stages, slots, transparent),
-        len(values), lanes, backend,
+        len(values), lanes,
     )
 
 
@@ -339,7 +338,7 @@ def test_random_fork_join_batched_lanes_match_scalar(
         c.validate()
         return c
 
-    _assert_lanes_match_scalar(make_circuit, len(values), lanes, "codegen")
+    _assert_lanes_match_scalar(make_circuit, len(values), lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +348,12 @@ def test_random_fork_join_batched_lanes_match_scalar(
 def test_event_backend_has_no_laned_engine():
     with pytest.raises(SimulationError, match="simulate_kernel_batch"):
         create_engine(_chain_circuit([1.0]), backend="event", lanes=2)
-    # Both generated-loop backends get the one laned engine.
-    for backend in ("compiled", "codegen"):
-        engine = create_engine(_chain_circuit([1.0]), backend=backend, lanes=2)
-        assert type(engine) is BatchedEngine
+    # The generated-loop backend gets the laned engine.
+    engine = create_engine(_chain_circuit([1.0]), backend="codegen", lanes=2)
+    assert type(engine) is BatchedEngine
 
 
-@pytest.mark.parametrize("backend", ["codegen", "compiled"])
+@pytest.mark.parametrize("backend", ["codegen"])
 def test_batched_refuses_observers(backend):
     c = _chain_circuit([1.0, 2.0])
     with pytest.raises(SimulationError, match="Trace"):
@@ -370,26 +368,26 @@ def test_batched_refuses_env_defaulted_observers(monkeypatch):
     c = _chain_circuit([1.0])
     monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
     with pytest.raises(SimulationError, match="[Ss]anitizer"):
-        create_engine(c, backend="compiled", lanes=2)
+        create_engine(c, backend="codegen", lanes=2)
 
 
 def test_create_engine_lane_argument_validation():
     c = _chain_circuit([1.0])
     with pytest.raises(SimulationError, match="lanes"):
-        create_engine(c, backend="compiled", lanes=0)
+        create_engine(c, backend="codegen", lanes=0)
     with pytest.raises(SimulationError, match="memories"):
-        create_engine(c, backend="compiled", memories=[Memory()])
+        create_engine(c, backend="codegen", memories=[Memory()])
     with pytest.raises(SimulationError, match="memor"):
-        create_engine(c, backend="compiled", lanes=2, memory=Memory())
+        create_engine(c, backend="codegen", lanes=2, memory=Memory())
     # This circuit has no load/store ports: lane memories are meaningless.
     with pytest.raises(SimulationError, match="memor"):
-        create_engine(c, backend="compiled", lanes=2,
+        create_engine(c, backend="codegen", lanes=2,
                       memories=[Memory(), Memory()])
     # And a memory-using circuit must get exactly one memory per lane.
     lowered = _prepare("atax", "crush")
     memories, _ = _lane_memories(lowered.kernel, SEEDS[:2])
     with pytest.raises(SimulationError, match="per lane"):
-        create_engine(lowered.circuit, backend="compiled", lanes=3,
+        create_engine(lowered.circuit, backend="codegen", lanes=3,
                       memories=memories)
 
 
@@ -521,9 +519,8 @@ def test_batched_codegen_reloads_laned_module_from_disk(codegen_cache):
     second = BatchedEngine(_chain_circuit(values), lanes=3)
     assert second.codegen_key == first.codegen_key
     assert second.codegen_origin == "disk"
-    # Same module object serves any lane count and either backend name:
-    # it binds LB at runtime.
-    third = create_engine(_chain_circuit(values), backend="compiled",
+    # Same module object serves any lane count: it binds LB at runtime.
+    third = create_engine(_chain_circuit(values), backend="codegen",
                           lanes=5)
     assert third.codegen_key == first.codegen_key
     assert third.codegen_origin == "memory"

@@ -169,7 +169,7 @@ def _flags_memory(lane):
 
 
 @pytest.mark.parametrize("lanes", LANE_COUNTS)
-@pytest.mark.parametrize("backend", ["compiled", "codegen"])
+@pytest.mark.parametrize("backend", ["codegen"])
 def test_synthetic_divergence_bit_identical_to_scalar(backend, lanes):
     c = _divergent_circuit()
     memories = [_flags_memory(lane) for lane in range(lanes)]
@@ -186,7 +186,7 @@ def test_synthetic_divergence_bit_identical_to_scalar(backend, lanes):
 
     for lane in range(lanes):
         c_ref = _divergent_circuit()
-        ref = create_engine(c_ref, backend=backend,
+        ref = create_engine(c_ref, backend="event",
                             memory=_flags_memory(lane))
         st_u, sf_u = c_ref.units["st"], c_ref.units["sf"]
         ref_cycles = ref.run(
@@ -225,9 +225,8 @@ def _chain_circuit(values, slots):
     ),
     data=st.data(),
     slots=st.integers(min_value=1, max_value=3),
-    backend=st.sampled_from(["compiled", "codegen"]),
 )
-def test_frozen_lanes_never_perturb_survivors(values, data, slots, backend):
+def test_frozen_lanes_never_perturb_survivors(values, data, slots):
     # Each lane stops after its own number of sink tokens; lanes with a
     # small target freeze early (partial done-mask → mask promotion) and
     # must coast without changing what the surviving lanes compute.
@@ -237,7 +236,7 @@ def test_frozen_lanes_never_perturb_survivors(values, data, slots, backend):
         min_size=lanes, max_size=lanes,
     ))
     c = _chain_circuit(values, slots)
-    engine = create_engine(c, backend=backend, lanes=lanes)
+    engine = create_engine(c, backend="codegen", lanes=lanes)
     cycles = engine.run_lanes(
         lambda lane: engine.sink_count("out", lane) >= targets[lane],
         max_cycles=5_000, uniform_done=False,
@@ -246,7 +245,7 @@ def test_frozen_lanes_never_perturb_survivors(values, data, slots, backend):
         assert engine.mask_promotions == 1
     for lane, target in enumerate(targets):
         c_ref = _chain_circuit(values, slots)
-        ref = create_engine(c_ref, backend=backend)
+        ref = create_engine(c_ref, backend="event")
         sink = c_ref.units["out"]
         ref_cycles = ref.run(lambda: sink.count >= target, max_cycles=5_000)
         assert cycles[lane] == ref_cycles, lane
@@ -333,7 +332,7 @@ def test_goldens_forced_mask_bit_identical(kernel, technique, plane):
     assert engine.data_plane == plane
     assert engine.mask_promotions == 1
     for lane, seed in enumerate(seeds):
-        want = simulate_kernel(lowered, seed=seed, backend="compiled")
+        want = simulate_kernel(lowered, seed=seed, backend="event")
         label = f"{kernel}-{technique} lane={lane}"
         assert cycles[lane] == want.cycles, label
         assert engine.lane_fires[lane] == want.fires, label

@@ -21,7 +21,7 @@ from repro.errors import LintError
 from repro.frontend.runner import simulate_kernel
 from repro.pipeline import prepare_circuit
 from repro.sim import (
-    CompiledEngine,
+    CodegenEngine,
     Engine,
     HandshakeSanitizer,
     create_engine,
@@ -166,7 +166,7 @@ class TestEnableSwitches:
         monkeypatch.delenv("REPRO_SIM_SANITIZE")
         assert sanitize_default() is False
 
-    @pytest.mark.parametrize("backend", ["event", "compiled"])
+    @pytest.mark.parametrize("backend", ["event", "codegen"])
     def test_env_enables_sanitizer_on_both_backends(self, monkeypatch,
                                                     backend):
         monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
@@ -178,7 +178,7 @@ class TestEnableSwitches:
 
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
-        assert CompiledEngine(chain_circuit(), sanitize=False).sanitizer \
+        assert CodegenEngine(chain_circuit(), sanitize=False).sanitizer \
             is None
 
     def test_env_reaches_run_technique_and_the_cli(self, monkeypatch,
@@ -216,14 +216,14 @@ def test_sanitized_runs_are_bit_identical_and_clean(kernel):
     real pipeline circuits produce zero violations on both backends."""
     prep = prepare_circuit(kernel, "crush", scale="small")
     baseline = {}
-    for backend in ("event", "compiled"):
+    for backend in ("event", "codegen"):
         plain = simulate_kernel(prep.lowered, backend=backend,
                                 sanitize=False)
         sane = simulate_kernel(prep.lowered, backend=backend, sanitize=True)
         assert sane.cycles == plain.cycles
         assert sane.fires == plain.fires
         baseline[backend] = (sane.cycles, sane.fires)
-    assert baseline["event"] == baseline["compiled"]
+    assert baseline["event"] == baseline["codegen"]
 
 
 class TestAliasWatch:

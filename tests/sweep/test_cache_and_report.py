@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import replace
 
 from repro.pipeline import TechniqueResult
 from repro.sweep import (
@@ -9,6 +10,7 @@ from repro.sweep import (
     ProgressReporter,
     ResultCache,
     SweepJob,
+    SweepOutcome,
     cache_key,
     code_salt,
     load_outcome,
@@ -126,6 +128,17 @@ def test_progress_reporter_and_summary(tmp_path):
     assert warm.cache_hits == 1
     assert "1 cache hits" in summarize(warm)
     assert "speedup" not in summarize(warm)
+
+
+def test_summary_reports_a_speedup_for_pooled_sweeps_only(tmp_path):
+    # A serial sweep that ran its misses: executed time is wall time.
+    serial = _tiny_outcome(tmp_path)
+    assert serial.workers == 0 and serial.cache_misses == 2
+    assert "speedup" not in summarize(serial)
+    # Two one-second misses in one second over two workers.
+    records = [replace(r, wall_time_s=1.0) for r in serial.records]
+    pooled = SweepOutcome(records=records, workers=2, wall_time_s=1.0)
+    assert "aggregate speedup vs serial: 2.00x" in summarize(pooled)
 
 
 def test_outcome_json_is_valid_json(tmp_path):
