@@ -5,10 +5,11 @@ default ``codegen``) on three representative Table 2 kernels in one
 process:
 
 * **setup** — engine construction time, cold (first engine on the
-  structure, with the schedule and generated-module memos cleared and
-  the codegen disk cache pointed at an empty per-module directory:
-  schedule levelization, and for codegen source emission +
-  ``compile()``) and warm (second engine: memo hits), and
+  structure, with the generated-module memo cleared and the codegen
+  disk cache pointed at an empty per-module directory: for codegen
+  schedule levelization, source emission and ``compile()``) and warm
+  (second engine: levelization and source emission again, then a
+  module memo hit), and
 * **steady-state throughput** — cycles/sec over the engine run loop
   only, measured on a warm engine.
 
@@ -45,7 +46,6 @@ import time
 import pytest
 
 import repro.sim.codegen as codegen
-import repro.sim.signal_graph as signal_graph
 from repro.analysis import critical_cfcs, insert_timing_buffers, place_buffers
 from repro.core import crush
 from repro.frontend import lower_kernel, simulate_kernel, simulate_kernel_batch
@@ -108,9 +108,8 @@ def _time_setup(lowered, backend: str) -> float:
 
 
 def _clear_memos() -> None:
-    """Forget every levelized schedule and generated module loaded so far
-    in this process, so the next engine build starts from scratch."""
-    signal_graph._SCHEDULE_CACHE.clear()
+    """Forget every generated module loaded so far in this process, so
+    the next engine build compiles from scratch."""
     codegen._MODULE_CACHE.clear()
 
 
@@ -128,7 +127,7 @@ def _measure(lowered, backend: str, repeats: int = 2):
     _clear_memos()
     setup_cold = _time_setup(lowered, backend)
     setup_warm = _time_setup(lowered, backend)
-    # The run's own engine build now hits every per-structure cache, so
+    # The run's own engine build now hits the module memo, so
     # run.sim_wall_s is warm steady-state throughput; best-of-``repeats``
     # damps scheduler noise (cycle counts are identical by construction).
     wall = math.inf
@@ -316,9 +315,9 @@ def test_write_bench_artifact(measurements, divergent_measurement):
         "style": "bb",
         "technique": "crush",
         "mode": "single process; setup = engine construction (cold: "
-                "empty schedule/module memos and codegen disk cache; then "
-                "warm), cycles/sec measured over the engine run loop on a "
-                "warm engine",
+                "empty module memo and codegen disk cache; then warm), "
+                "cycles/sec measured over the engine run loop on a warm "
+                "engine",
         "python": platform.python_version(),
         "kernels": kernels,
         "geomean_speedup_codegen_vs_event": geo_codegen,

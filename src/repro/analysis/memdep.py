@@ -395,10 +395,6 @@ class PairVerdict:
     #: (distance all-zero over the common nest).
     same_iteration: bool = False
 
-    @property
-    def is_self(self) -> bool:
-        return self.a == self.b
-
     def label(self) -> str:
         return f"{self.a} x {self.b}"
 

@@ -53,10 +53,6 @@ class IIResult:
     critical_cycle: List[Node]
 
     @property
-    def ii_float(self) -> float:
-        return float(self.ii)
-
-    @property
     def ii_int(self) -> int:
         """The achievable integer II (ceiling of the exact ratio)."""
         return -(-self.ii.numerator // self.ii.denominator)

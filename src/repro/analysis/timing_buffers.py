@@ -25,70 +25,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..circuit import Channel, DataflowCircuit, ElasticBuffer
+from ..resources.library import BASE_PATH_OVERHEAD_NS
+from ..resources.timing import longest_comb_chain
 from .scc import strongly_connected_components
 
 #: The paper's clock-period target (Section 6.1).
 TARGET_CP_NS = 6.0
-
-
-def _comb_paths(
-    circuit: DataflowCircuit, delays: Dict[str, float]
-) -> Tuple[float, List[str]]:
-    """Longest-chain DP over the combinational subgraph; returns
-    (total delay, path unit list) of the worst chain.  ``delays`` caches
-    each unit's ``comb_delay`` across calls.
-
-    The combinational units keep ``circuit.units`` order, and with it the
-    topological order and the tie-break between equally long chains, so
-    every process cuts the same channels whatever its string-hash seed."""
-    from ..resources.library import comb_delay
-
-    succ: Dict[str, List[str]] = {
-        n: []
-        for n, u in circuit.units.items()
-        if u.latency < 1 and u.initial_tokens < 1 and u.n_in > 0
-    }
-    indeg: Dict[str, int] = dict.fromkeys(succ, 0)
-    for ch in circuit.channels:
-        if ch.src.unit in succ and ch.dst.unit in succ:
-            succ[ch.src.unit].append(ch.dst.unit)
-            indeg[ch.dst.unit] += 1
-    order: List[str] = [n for n, d in indeg.items() if d == 0]
-    i = 0
-    while i < len(order):
-        for s in succ[order[i]]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                order.append(s)
-        i += 1
-    if len(order) != len(succ):
-        # Combinational cycle: let the structural pass handle it first.
-        return 0.0, []
-    best_total = 0.0
-    best_tail: List[str] = []
-    tail_delay: Dict[str, float] = {}
-    tail_next: Dict[str, Optional[str]] = {}
-    for n in reversed(order):
-        delay = delays.get(n)
-        if delay is None:
-            delay = delays[n] = comb_delay(circuit.units[n])
-        nxt = None
-        nxt_delay = 0.0
-        for s in succ[n]:
-            if tail_delay[s] > nxt_delay:
-                nxt_delay = tail_delay[s]
-                nxt = s
-        tail_delay[n] = delay + nxt_delay
-        tail_next[n] = nxt
-        if tail_delay[n] > best_total:
-            best_total = tail_delay[n]
-            best_tail = [n]
-    if not best_tail:
-        return 0.0, []
-    path = [best_tail[0]]
-    while tail_next[path[-1]] is not None:
-        path.append(tail_next[path[-1]])
-    return best_total, path
 
 
 def _scc_ids(circuit: DataflowCircuit) -> Dict[str, int]:
@@ -114,7 +56,6 @@ def insert_timing_buffers(
     Returns the names of the inserted buffers.  Stops early when the
     remaining chains offer no legal (cycle-free) cut point.
     """
-    from ..resources.library import BASE_PATH_OVERHEAD_NS
     from .buffers import _splice
 
     inserted: List[str] = []
@@ -125,7 +66,9 @@ def insert_timing_buffers(
     scc: Dict[str, int] = {}
     between: Dict[Tuple[str, str], List[Channel]] = {}
     for _ in range(max_inserts):
-        total, path = _comb_paths(circuit, delays)
+        # On a combinational cycle there is no chain to cut: the
+        # structural pass handles the cycle first.
+        total, path = longest_comb_chain(circuit, delays) or (0.0, [])
         if total <= budget or not path or tuple(path) in blocked_paths:
             break
         if not scc:

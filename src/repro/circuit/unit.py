@@ -22,7 +22,7 @@ Units are identified by name; port counts are fixed at construction.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 
 class PortCtx:
@@ -231,12 +231,3 @@ class Unit:
 
     def __repr__(self):
         return f"<{self.describe()}>"
-
-
-def named_ports(names: Sequence[str]):
-    """Helper for subclasses with fixed, named ports."""
-
-    def port_name(self, i: int, _names=tuple(names)) -> str:
-        return _names[i] if i < len(_names) else f"p{i}"
-
-    return port_name

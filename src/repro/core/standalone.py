@@ -83,18 +83,6 @@ def unshared_group_resources(n: int, op: str = "fadd") -> Resources:
     return functional_unit_resources(op).scaled(n)
 
 
-#: Figure 10's legend: component label -> wrapper-record attribute.
-_COMPONENTS = {
-    "Credit counters": "credit_counters",
-    "Joins": "joins",
-    "Branch": None,  # handled specially (single unit)
-    "Shared unit": None,
-    "Condition buffer": None,
-    "Merges and muxes": None,
-    "Output buffers": "output_buffers",
-}
-
-
 def wrapper_component_breakdown(
     n: int, op: str = "fadd"
 ) -> Dict[str, Resources]:

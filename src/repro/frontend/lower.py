@@ -224,7 +224,6 @@ class _Lowerer:
         self.cfc_tag: Optional[str] = None
         self.loop_counter = 0
         self.cfc_tags: List[str] = []
-        self.array_names = {a.name for a in kernel.arrays}
         # Per-(array, kind) site counters; produce the same "X#ld0"-style
         # IDs as repro.analysis.memdep's IR walk so static verdicts can be
         # joined to the circuit's memory ports.

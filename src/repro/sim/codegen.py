@@ -520,7 +520,7 @@ def generate_pieces(circuit: DataflowCircuit,
     L = [
         f"# Generated by repro.sim.codegen ({variant}) -- "
         "do not edit by hand.",
-        f"# structure {schedule.key[:16]}: {n_units} units, "
+        f"# {n_units} units, "
         f"{len(live)} channels, {n_occ} occurrences, "
         f"{len(tick_slots)} tickable; {len(out) + 1} pieces",
         "",

@@ -274,9 +274,7 @@ class Engine(BaseEngine):
         # First cycle evaluates everything.
         self._seed_all()
         if profile is not None:
-            # Switch to the instrumented step loop.
             profile.bind(names, self.backend)
-            self.step = self._step_profiled
 
     def _seed_all(self) -> None:
         for i in range(len(self._units)):
@@ -291,15 +289,25 @@ class Engine(BaseEngine):
 
     # ------------------------------------------------------------------- step
     def step(self) -> int:
-        """Simulate one clock cycle; return the number of channel fires."""
+        """Simulate one clock cycle; return the number of channel fires.
+
+        With a bound :class:`SimProfile` the cycle also counts each unit's
+        evaluations and ticks and times the comb, fire-scan and tick
+        phases."""
+        prof = self.profile
         units, ctxs = self._units, self._ctxs
         dirty, queue = self._dirty, self._queue
+        counts = None if prof is None else prof.eval_counts
 
+        if prof is not None:
+            t0 = perf_counter()
         evals = 0
         while queue:
             i = queue.popleft()
             dirty[i] = 0
             units[i].eval_comb(ctxs[i])
+            if counts is not None:
+                counts[i] += 1
             evals += 1
             if evals > self.max_evals_per_cycle:
                 raise ConvergenceError(
@@ -307,6 +315,8 @@ class Engine(BaseEngine):
                     f"{self.cycle} ({evals} evaluations); the circuit "
                     "likely has a combinational cycle (missing buffer)"
                 )
+        if prof is not None:
+            t1 = perf_counter()
 
         valid, ready, fired = self.valid, self.ready, self.fired
         cons, prod = self._cons_unit, self._prod_unit
@@ -332,6 +342,8 @@ class Engine(BaseEngine):
                     tlist.append(i)
                 if rec is not None:
                     rec(c, cyc)
+        if prof is not None:
+            t2 = perf_counter()
 
         if self.sanitizer is not None:
             # Observe at the cycle fixpoint: fired flags are set, ticks
@@ -350,98 +362,26 @@ class Engine(BaseEngine):
         # sequential state — in particular same-cycle memory accesses — in
         # the same deterministic order.
         tlist.sort()
+        tcounts = None if prof is None else prof.tick_counts
         for i in tlist:
             pend[i] = 0
             units[i].tick(ctxs[i])
+            if tcounts is not None:
+                tcounts[i] += 1
             self._mark(i)  # state may have changed; re-evaluate next cycle
         # Fired flags must not leak into the next cycle's ticks; clear only
         # the channels that actually fired (the rest are already False).
         for c in fired_now:
             fired[c] = False
 
-        self.total_fires += fires
-        self._idle_cycles = 0 if progress else self._idle_cycles + 1
-        self.cycle += 1
-        return fires
-
-    # ----------------------------------------------------- instrumented step
-    def _step_profiled(self) -> int:
-        """``step`` with per-phase timers and per-unit eval counts."""
-        prof = self.profile
-        units, ctxs = self._units, self._ctxs
-        dirty, queue = self._dirty, self._queue
-        counts = prof.eval_counts
-
-        t0 = perf_counter()
-        evals = 0
-        while queue:
-            i = queue.popleft()
-            dirty[i] = 0
-            units[i].eval_comb(ctxs[i])
-            counts[i] += 1
-            evals += 1
-            if evals > self.max_evals_per_cycle:
-                raise ConvergenceError(
-                    f"handshake signals did not stabilize at cycle "
-                    f"{self.cycle} ({evals} evaluations); the circuit "
-                    "likely has a combinational cycle (missing buffer)"
-                )
-        t1 = perf_counter()
-
-        valid, ready, fired = self.valid, self.ready, self.fired
-        cons, prod = self._cons_unit, self._prod_unit
-        tickable, pend = self._tickable, self._tick_pend
-        trace = self.trace
-        rec = trace.record if trace is not None and trace.active else None
-        cyc = self.cycle
-        fires = 0
-        fired_now: List[int] = []
-        tlist: List[int] = []
-        for c in self._live_cids:
-            if valid[c] and ready[c]:
-                fired[c] = True
-                fired_now.append(c)
-                fires += 1
-                i = cons[c]
-                if tickable[i] and not pend[i]:
-                    pend[i] = 1
-                    tlist.append(i)
-                i = prod[c]
-                if tickable[i] and not pend[i]:
-                    pend[i] = 1
-                    tlist.append(i)
-                if rec is not None:
-                    rec(c, cyc)
-        t2 = perf_counter()
-
-        if self.sanitizer is not None:
-            self.sanitizer.observe(cyc, valid, ready, self.data, fired)
-
-        progress = fires > 0
-        for i in self._pipeline_units:
-            if not units[i].quiescent():
-                if not pend[i]:
-                    pend[i] = 1
-                    tlist.append(i)
-                progress = True
-
-        tlist.sort()
-        tcounts = prof.tick_counts
-        for i in tlist:
-            pend[i] = 0
-            units[i].tick(ctxs[i])
-            tcounts[i] += 1
-            self._mark(i)
-        for c in fired_now:
-            fired[c] = False
-        t3 = perf_counter()
-
-        prof.comb_s += t1 - t0
-        prof.fire_s += t2 - t1
-        prof.tick_s += t3 - t2
-        prof.wall_s += t3 - t0
-        prof.cycles += 1
-        prof.fires += fires
+        if prof is not None:
+            t3 = perf_counter()
+            prof.comb_s += t1 - t0
+            prof.fire_s += t2 - t1
+            prof.tick_s += t3 - t2
+            prof.wall_s += t3 - t0
+            prof.cycles += 1
+            prof.fires += fires
 
         self.total_fires += fires
         self._idle_cycles = 0 if progress else self._idle_cycles + 1

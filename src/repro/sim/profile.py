@@ -2,19 +2,20 @@
 
 A :class:`SimProfile` can be handed to either simulation backend
 (``Engine(..., profile=p)`` / ``CodegenEngine(..., profile=p)``, or
-``create_engine(..., profile=p)``).  The engine then runs an instrumented
-step loop — for codegen, its profiled source variant — that accumulates
+``create_engine(..., profile=p)``).  The engine then accumulates the
+following, the event engine in its ``step`` and codegen through its
+profiled source variant:
 
 * per-unit combinational evaluation counts (which units the simulator
   actually touches — the event engine's sparsity and the codegen
   backend's activation gating make this far from uniform),
 * per-phase wall-clock time: combinational settling, the fire scan, and
   the sequential tick phase,
-* total instrumented wall-clock and cycle counts, from which
+* total profiled wall-clock and cycle counts, from which
   :attr:`cycles_per_sec` derives the headline throughput number.
 
 Profiling costs a couple of timer calls per cycle, so it is opt-in; an
-engine without a profile runs the uninstrumented step loop.
+engine without a profile makes none of them.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ class SimProfile:
         self.unit_names: List[str] = []
         self.eval_counts: List[int] = []
         self.tick_counts: List[int] = []
-        #: Wall-clock seconds per phase of the instrumented step loop.
+        #: Wall-clock seconds per phase of the profiled cycles.
         self.comb_s: float = 0.0
         self.fire_s: float = 0.0
         self.tick_s: float = 0.0
-        #: Total instrumented wall-clock (sum of full step() durations).
+        #: Total profiled wall-clock (sum of full step() durations).
         self.wall_s: float = 0.0
         self.cycles: int = 0
         self.fires: int = 0

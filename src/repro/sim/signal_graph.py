@@ -47,8 +47,7 @@ specialized source (:func:`compile_schedule` is its input).
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -245,31 +244,26 @@ def find_combinational_cycle(circuit) -> Optional[List[str]]:
 
 
 # ---------------------------------------------------------------------------
-# Levelized schedule, memoized per circuit structure.
+# Levelized schedule.
 #
 # The codegen backend's variants (scalar, profiled, laned) start from the
 # same derived data: the occurrence schedule, the per-signal activation lists
 # and the clock-edge maps.  All of it is a pure function of the circuit
 # *structure* — unit enumeration, per-unit ``comb_deps`` and channel
-# connectivity — and none of it references unit objects, so
-# identical-structure circuits (every rerun of the same (kernel, technique,
-# style, scale) configuration) can share one schedule.
-# ``compile_schedule`` memoizes on :func:`structure_key` within the process,
-# which removes re-levelization from sweep differential tests and repeated
-# engine builds.
+# connectivity — and none of it references unit objects.  Each engine
+# derives its own from the circuit it is given.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CircuitSchedule:
-    """Index-level evaluation schedule shared by same-structure circuits.
+    """Index-level evaluation schedule of one circuit.
 
     Holds no unit objects — only names, channel indices and activation
-    tables — so one instance can safely back engines over *different*
-    circuit instances with the same structure.
+    tables — so two circuits with the same structure compile to equal
+    schedules.
     """
 
-    key: str
     nch: int
     names: Tuple[str, ...]
     in_chs: Tuple[Tuple[int, ...], ...]
@@ -293,57 +287,12 @@ class CircuitSchedule:
         return len(self.names)
 
 
-def structure_key(circuit) -> str:
-    """Content hash of everything the static schedule depends on.
-
-    Covers the unit enumeration (names and order), each unit's port counts,
-    declared combinational dependencies, tick/quiescence capabilities, and
-    the full channel connectivity.  Unit *parameters* that cannot change the
-    schedule (buffer depths, operand constants, merge priorities) are
-    deliberately excluded — they alter evaluation results, not evaluation
-    order.
-    """
-    from ..circuit import Unit as _Unit
-
-    h = hashlib.sha256()
-    h.update(str(max((ch.cid for ch in circuit.channels), default=-1)).encode())
-    for name in circuit.units:
-        u = circuit.units[name]
-        h.update(b"\0u")
-        h.update(name.encode())
-        h.update(
-            f"|{type(u).__module__}.{type(u).__qualname__}"
-            f"|{u.n_in}|{u.n_out}"
-            f"|{int(u.needs_tick())}"
-            f"|{int(type(u).quiescent is not _Unit.quiescent)}"
-            f"|{u.comb_deps()!r}".encode()
-        )
-        for i in range(u.n_in):
-            ch = circuit.in_channel(u, i)
-            h.update(f"|i{ch.cid if ch is not None else -1}".encode())
-        for i in range(u.n_out):
-            ch = circuit.out_channel(u, i)
-            h.update(f"|o{ch.cid if ch is not None else -1}".encode())
-    return h.hexdigest()
-
-
-#: Process-local schedule memo (small: one entry per distinct structure).
-_SCHEDULE_CACHE: "OrderedDict[str, CircuitSchedule]" = OrderedDict()
-_SCHEDULE_CACHE_MAX = 128
-
-
 def compile_schedule(circuit) -> CircuitSchedule:
-    """Levelize ``circuit`` into its static schedule (memoized).
+    """Levelize ``circuit`` into its static schedule.
 
     Raises :class:`~repro.errors.CombinationalCycleError` when the circuit
-    has a combinational handshake cycle; failures are never cached.
+    has a combinational handshake cycle.
     """
-    key = structure_key(circuit)
-    cached = _SCHEDULE_CACHE.get(key)
-    if cached is not None:
-        _SCHEDULE_CACHE.move_to_end(key)
-        return cached
-
     sg = build_signal_graph(circuit)
     nch = sg.nch
     units = sg.units
@@ -401,8 +350,7 @@ def compile_schedule(circuit) -> CircuitSchedule:
             ms.append(i)
         tick_mark.append(tuple(ms))
 
-    schedule = CircuitSchedule(
-        key=key,
+    return CircuitSchedule(
         nch=nch,
         names=tuple(circuit.units),
         in_chs=tuple(tuple(cs) for cs in in_chs),
@@ -413,7 +361,3 @@ def compile_schedule(circuit) -> CircuitSchedule:
         tickable=tickable,
         tick_mark=tuple(tick_mark),
     )
-    _SCHEDULE_CACHE[key] = schedule
-    while len(_SCHEDULE_CACHE) > _SCHEDULE_CACHE_MAX:
-        _SCHEDULE_CACHE.popitem(last=False)
-    return schedule

@@ -81,8 +81,6 @@ class ResultCache:
                  salt: Optional[str] = None) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self.salt = code_salt() if salt is None else salt
-        self.hits = 0
-        self.misses = 0
 
     def _path(self, key: str) -> Path:
         return self.cache_dir / key[:2] / f"{key}.json"
@@ -94,13 +92,10 @@ class ResultCache:
         path = self._path(self.key_for(job))
         try:
             data = json.loads(path.read_text())
-            result = TechniqueResult.from_dict(data["result"])
+            return TechniqueResult.from_dict(data["result"])
         except (OSError, ValueError, KeyError):
             # Missing, torn, or schema-incompatible entry: treat as a miss.
-            self.misses += 1
             return None
-        self.hits += 1
-        return result
 
     def put(self, job: SweepJob, result: TechniqueResult) -> Path:
         key = self.key_for(job)

@@ -147,10 +147,6 @@ class SweepOutcome:
     shared_simulations: int = 0
 
     @property
-    def ok_records(self) -> List[SweepRecord]:
-        return [r for r in self.records if r.ok]
-
-    @property
     def failed_records(self) -> List[SweepRecord]:
         return [r for r in self.records if not r.ok]
 

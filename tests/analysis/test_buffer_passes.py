@@ -165,6 +165,21 @@ class TestTimingBuffers:
         Engine(c).run(lambda: s.count == 5, max_cycles=100)
         assert s.received == [8, 9, 10, 11, 12]
 
+    def test_combinational_cycle_has_no_chain_to_cut(self):
+        # The CP estimate refuses a combinational ring; the timing pass
+        # leaves it to the structural pass and inserts nothing.
+        from repro.errors import AnalysisError
+        from repro.resources import critical_path_ns
+        from repro.resources.timing import longest_comb_chain
+
+        c = comb_ring_circuit()
+        assert longest_comb_chain(c) is None
+        with pytest.raises(AnalysisError, match="combinational cycle"):
+            critical_path_ns(c)
+        n_units = len(c.units)
+        assert insert_timing_buffers(c, target_cp_ns=0.5) == []
+        assert len(c.units) == n_units
+
     def test_respects_data_cycles(self):
         # A tight data SCC cannot be cut; pass must give up gracefully.
         c = comb_ring_circuit()
@@ -293,14 +308,15 @@ def _reference_timing_buffers(circuit, target_cp_ns):
     """The timing pass as first written: SCCs recomputed and the channel
     list scanned for every buffer it inserts."""
     from repro.analysis.buffers import _splice
-    from repro.analysis.timing_buffers import _comb_paths, _scc_ids
+    from repro.analysis.timing_buffers import _scc_ids
     from repro.resources.library import BASE_PATH_OVERHEAD_NS
+    from repro.resources.timing import longest_comb_chain
 
     inserted = []
     budget = max(0.0, target_cp_ns - BASE_PATH_OVERHEAD_NS)
     blocked = set()
     for _ in range(400):
-        total, path = _comb_paths(circuit, {})
+        total, path = longest_comb_chain(circuit) or (0.0, [])
         if total <= budget or not path or tuple(path) in blocked:
             break
         scc = _scc_ids(circuit)

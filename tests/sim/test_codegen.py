@@ -347,11 +347,11 @@ def test_module_cache_origins(codegen_cache):
 def test_memo_serves_no_module_to_a_circuit_it_was_not_generated_for(
     codegen_cache,
 ):
-    """Guard for keying the in-process memo: ``structure_key`` (the
-    schedule's key) leaves out buffer depths, merge priorities, credit
-    counts and array names, but the generated code embeds them (a
-    buffer's ``nr = len(q) < slots``).  Two circuits with one schedule
-    need two modules, so a memo keyed by the schedule alone is unsound."""
+    """Guard for keying the in-process memo: the schedule leaves out
+    buffer depths, merge priorities, credit counts and array names, but
+    the generated code embeds them (a buffer's ``nr = len(q) < slots``).
+    Two circuits with one schedule need two modules, so a memo keyed by
+    the schedule alone is unsound."""
 
     def chain(slots):
         c = DataflowCircuit(f"chain{slots}")
@@ -364,7 +364,7 @@ def test_memo_serves_no_module_to_a_circuit_it_was_not_generated_for(
 
     e2 = create_engine(chain(2), backend="codegen")
     e5 = create_engine(chain(5), backend="codegen")
-    assert e5.schedule.key == e2.schedule.key
+    assert e5.schedule == e2.schedule
     assert e5.codegen_key != e2.codegen_key
     # Generated for this circuit, not served the first circuit's module.
     assert e5.codegen_origin == "generated"
@@ -401,22 +401,6 @@ def test_disk_cache_corruption_is_self_healing(codegen_cache):
     eng = CodegenEngine(c)
     eng.run(lambda: sink.count >= 4, max_cycles=10_000)
     assert sink.count == 4
-
-
-# ---------------------------------------------------------------------------
-# schedule memoization (shared by the scalar, profiled and laned variants)
-
-
-def test_schedule_memoized_across_engines_and_backends():
-    c1 = _streaming_circuit(4)
-    c2 = _streaming_circuit(4)
-    s1 = compile_schedule(c1)
-    s2 = compile_schedule(c2)
-    assert s1 is s2  # same structure hash -> same cached schedule
-    e_profiled = create_engine(c1, backend="codegen", profile=SimProfile())
-    e_codegen = create_engine(c2, backend="codegen")
-    assert e_codegen.schedule is s1
-    assert e_profiled.schedule is s1
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +456,7 @@ def test_buffered_loop_compiles():
 
 
 # ---------------------------------------------------------------------------
-# profiling: the event engine's instrumented step, codegen's profiled variant
+# profiling: the event engine's step, codegen's profiled variant
 
 
 def test_profile_hook_on_instrumented_backends():
@@ -519,18 +503,34 @@ def test_profiled_loop_counts_quiet_cycles():
 
 @pytest.mark.parametrize("kernel", ["gsum", "gsumif"])
 def test_profiled_codegen_run_equals_unprofiled(kernel):
+    _assert_profiled_run_equals_unprofiled(kernel, "codegen")
+
+
+@pytest.mark.parametrize("kernel", ["gsum", "gsumif"])
+def test_profiled_event_run_equals_unprofiled(kernel):
+    _assert_profiled_run_equals_unprofiled(kernel, "event")
+
+
+def test_profiled_parity_tests_cover_every_backend():
+    assert set(BACKENDS) == {"codegen", "event"}
+
+
+def _assert_profiled_run_equals_unprofiled(kernel, backend):
+    """A profile only observes: on every backend (codegen's profiled
+    variant, the event engine's ``step``) a profiled run equals an
+    unprofiled one, and the profile's cycles and fires are the run's."""
     lowered = _prepare(kernel, "crush")
     prof = SimProfile()
     runs, traces = {}, {}
     for name, profile in (("plain", None), ("profiled", prof)):
         traces[name] = Trace(record_all=True)
         runs[name] = simulate_kernel(
-            lowered, max_cycles=2_000_000, backend="codegen",
+            lowered, max_cycles=2_000_000, backend=backend,
             trace=traces[name], profile=profile,
         )
     _assert_runs_identical(runs, traces, "plain")
     run = runs["profiled"]
-    assert prof.backend == "codegen"
+    assert prof.backend == backend
     assert prof.cycles == run.cycles
     assert prof.fires == run.fires
     assert prof.total_evals > 0
