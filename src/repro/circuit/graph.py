@@ -22,6 +22,20 @@ from .units.functional import OpSpec
 #: Attribute values :func:`_canonical` writes with ``repr``.
 _SCALARS = (type(None), bool, int, float, str)
 
+#: The container types :meth:`DataflowCircuit.clone` copies in a unit's
+#: attributes; a value of any other type is shared with the clone.
+_COPIERS = {list: list.copy, dict: dict.copy, set: set.copy,
+            deque: deque.copy}
+
+
+def _clone_unit(unit: Unit) -> Unit:
+    twin = object.__new__(type(unit))
+    twin.__dict__.update(
+        (k, _COPIERS[type(v)](v) if type(v) in _COPIERS else v)
+        for k, v in vars(unit).items()
+    )
+    return twin
+
 
 class _Unkeyable(Exception):
     """An attribute value :func:`_canonical` has no canonical form for."""
@@ -116,6 +130,30 @@ class DataflowCircuit:
         self._out_map[skey] = ch
         self._in_map[dkey] = ch
         return ch
+
+    def clone(self) -> "DataflowCircuit":
+        """A copy that a rewrite pass can change without touching this one.
+
+        Units and channels are new objects.  Each unit's list, dict, set
+        and deque attributes (``meta`` included) and each channel's
+        ``attrs`` are copied one level deep.  That suffices because no
+        unit attribute is a container holding a mutable container; a test
+        checks this for every unit of every configuration.  Other values
+        are immutable (scalars, ``OpSpec``) or rebound before use (a
+        memory port's ``memory``), and are shared.  Name counters carry
+        over, so ``fresh_name`` continues this circuit's sequence.
+        """
+        twin = DataflowCircuit(self.name)
+        twin.units = {name: _clone_unit(u) for name, u in self.units.items()}
+        twin.channels = [
+            Channel(ch.cid, ch.src, ch.dst, ch.width, ch.name, dict(ch.attrs))
+            for ch in self.channels
+        ]
+        for ch in twin.channels:
+            twin._out_map[(ch.src.unit, ch.src.index)] = ch
+            twin._in_map[(ch.dst.unit, ch.dst.index)] = ch
+        twin._name_counters = dict(self._name_counters)
+        return twin
 
     def _check_port(self, unit: Unit, port: int, limit: int, kind: str) -> None:
         if unit.name not in self.units:

@@ -279,7 +279,12 @@ def _cmd_lint(args) -> int:
 
     from .frontend.kernels import KERNEL_NAMES
     from .lint import EXIT_CLEAN, LintConfig, sarif_json
-    from .pipeline import TECHNIQUES, lint_prepared, prepare_circuit
+    from .pipeline import (
+        TECHNIQUES,
+        lint_prepared,
+        prepare_circuit,
+        shared_simulations,
+    )
 
     config = LintConfig.from_specs(args.rule or [])
     fmt = "json" if args.json else args.format
@@ -294,18 +299,21 @@ def _cmd_lint(args) -> int:
 
     worst = EXIT_CLEAN
     reports = []
-    for kn, tech in targets:
-        prep = prepare_circuit(kn, tech, style=args.style, scale=args.scale)
-        expected = None
-        if args.golden_dir:
-            expected = _golden_expected_ii(args.golden_dir, kn, tech)
-        report = lint_prepared(prep, config=config, expected_ii=expected)
-        report.context = None  # keep the findings, not every circuit
-        reports.append((kn, tech, report))
-        # Exit codes order by badness: 0 clean < 3 warnings < 4 errors.
-        worst = max(worst, report.exit_code(strict=args.strict))
-        if fmt == "text":
-            print(f"{kn}/{tech}: {report.format()}")
+    # Each kernel is lowered and buffered once for its techniques.
+    with shared_simulations():
+        for kn, tech in targets:
+            prep = prepare_circuit(kn, tech, style=args.style,
+                                   scale=args.scale)
+            expected = None
+            if args.golden_dir:
+                expected = _golden_expected_ii(args.golden_dir, kn, tech)
+            report = lint_prepared(prep, config=config, expected_ii=expected)
+            report.context = None  # keep the findings, not every circuit
+            reports.append((kn, tech, report))
+            # Exit codes order by badness: 0 clean < 3 warnings < 4 errors.
+            worst = max(worst, report.exit_code(strict=args.strict))
+            if fmt == "text":
+                print(f"{kn}/{tech}: {report.format()}")
 
     if fmt == "json":
         payload = [
@@ -322,10 +330,14 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.what == "ii":
-        return _cmd_analyze_ii(args)
-    if args.what == "memdep":
-        return _cmd_analyze_memdep(args)
+    from .pipeline import shared_simulations
+
+    # Each kernel is lowered and buffered once for its techniques.
+    with shared_simulations():
+        if args.what == "ii":
+            return _cmd_analyze_ii(args)
+        if args.what == "memdep":
+            return _cmd_analyze_memdep(args)
     print(f"error: unknown analysis {args.what!r}", file=sys.stderr)
     return 2
 

@@ -11,7 +11,7 @@ This pass does exactly that, with two proof engines:
 * ``mode="structural"`` — an output buffer is elidable when its
   (transitive, 1-to-1) consumer chain ends in an always-ready unit
   (a sink).  Sound, cheap, conservative.
-* ``mode="verify"`` — remove the buffer on a deep copy of the circuit and
+* ``mode="verify"`` — remove the buffer on a copy of the circuit and
   *model-check* the result over every environment schedule
   (:mod:`repro.verify`); apply the removal only if the state space remains
   deadlock-free.  Sound for the finite configuration explored; intended
@@ -24,7 +24,6 @@ the consumer can always drain it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -128,7 +127,7 @@ def _verified_safe(
     """Model-check a copy of the circuit with the buffer removed."""
     from ..verify import explore
 
-    trial = copy.deepcopy(circuit)
+    trial = circuit.clone()
     _splice_out_buffer(trial, ob_name)
     verdict = explore(trial, max_states=max_states)
     return bool(verdict)

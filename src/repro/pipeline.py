@@ -17,15 +17,25 @@ import json
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .analysis import critical_cfcs, insert_timing_buffers, place_buffers
+from .analysis import (
+    CFC,
+    critical_cfcs,
+    insert_timing_buffers,
+    place_buffers,
+)
 from .analysis.lp_sizing import load_solver
 from .baselines import inorder_share, naive_share
 from .core import crush
 from .errors import ReproError
-from .frontend import lower_kernel, simulate_kernel, simulate_kernel_batch
+from .frontend import (
+    LoweredKernel,
+    lower_kernel,
+    simulate_kernel,
+    simulate_kernel_batch,
+)
 from .frontend.kernels import build
 from .frontend.runner import KernelRun
 from .resources import ResourceEstimate, estimate_circuit
@@ -175,6 +185,46 @@ class PreparedRun:
         return self.lowered.circuit
 
 
+@dataclass
+class _Buffered:
+    """The pre-sharing prefix of :func:`prepare_circuit`: a lowered kernel
+    with buffers placed, its CFCs, and the placement's wall time."""
+
+    lowered: LoweredKernel
+    cfcs: List[CFC]
+    buffer_time: float
+
+    def clone(self) -> "_Buffered":
+        """A copy whose circuit and CFCs a sharing pass may rewrite.
+
+        The kernel IR and the CFC tags are shared: nothing downstream
+        mutates them.  The CFCs are rebuilt on the copied circuit and keep
+        their cached II and SCC graph, so the pass starts from the same
+        cache state as after a fresh preparation.
+        """
+        circuit = self.lowered.circuit.clone()
+        lowered = replace(self.lowered, circuit=circuit)
+        cfcs = [replace(c, circuit=circuit, unit_names=set(c.unit_names))
+                for c in self.cfcs]
+        return _Buffered(lowered, cfcs, self.buffer_time)
+
+
+def _buffer(
+    kernel_name: str, style: str, scale: str, size_overrides: Dict[str, int]
+) -> _Buffered:
+    """Build, lower, and place buffers: the steps every technique shares."""
+    kernel = build(kernel_name, scale=scale, **size_overrides)
+    lowered = lower_kernel(kernel, style=style)
+
+    # The LP solver's one-off import is not optimization time: keep it out
+    # of buffer_time and of In-order's opt_time_s.
+    load_solver()
+    t0 = time.perf_counter()
+    cfcs = critical_cfcs(lowered.circuit)
+    place_buffers(lowered.circuit, cfcs)
+    return _Buffered(lowered, cfcs, time.perf_counter() - t0)
+
+
 def prepare_circuit(
     kernel_name: str,
     technique: str,
@@ -186,20 +236,28 @@ def prepare_circuit(
 
     Returns the :class:`PreparedRun` with the sharing pass' decision
     record and the *pre-rewrite* CFCs, exactly what ``repro.lint`` wants.
+
+    Inside :func:`shared_simulations` (a serial sweep, ``repro lint``,
+    ``repro analyze``), the steps before sharing run once per kernel,
+    style, scale and size overrides; every call, the first included,
+    shares from its own :meth:`~repro.circuit.graph.DataflowCircuit.clone`
+    of that buffered circuit, and its ``buffer_time`` is the one
+    measurement of the placement.
     """
     if technique not in TECHNIQUES:
         raise ReproError(f"unknown technique {technique!r}; use {TECHNIQUES}")
-    kernel = build(kernel_name, scale=scale, **size_overrides)
-    lowered = lower_kernel(kernel, style=style)
+    memo = _memo.get()
+    if memo is None:
+        buffered = _buffer(kernel_name, style, scale, size_overrides)
+    else:
+        key = (kernel_name, style, scale, tuple(sorted(size_overrides.items())))
+        if key in memo.bases:
+            memo.shared_preparations += 1
+        else:
+            memo.bases[key] = _buffer(kernel_name, style, scale, size_overrides)
+        buffered = memo.bases[key].clone()
+    lowered, cfcs = buffered.lowered, buffered.cfcs
     circuit = lowered.circuit
-
-    # The LP solver's one-off import is not optimization time: keep it out
-    # of buffer_time and of In-order's opt_time_s.
-    load_solver()
-    t0 = time.perf_counter()
-    cfcs = critical_cfcs(circuit)
-    place_buffers(circuit, cfcs)
-    buffer_time = time.perf_counter() - t0
 
     if technique == "naive":
         share = naive_share(circuit, cfcs)
@@ -222,7 +280,7 @@ def prepare_circuit(
         cfcs=list(cfcs),
         decisions=share,
         groups=groups,
-        buffer_time=buffer_time,
+        buffer_time=buffered.buffer_time,
     )
 
 
@@ -316,19 +374,28 @@ def _prepare_and_analyze(
 
 
 class SimulationMemo:
-    """Verified simulations that the rows of one serial sweep share.
+    """Buffered circuits and verified simulations that the rows of one
+    serial sweep share.
 
-    In-order and CRUSH often build the same circuit, and all three
+    Naive, In-order and CRUSH start from the same buffered circuit, so
+    inside :func:`shared_simulations` :func:`prepare_circuit` builds,
+    lowers and buffers each (kernel, style, scale, size overrides) once.
+    It keeps that circuit in ``bases``, never hands it out, and gives each
+    technique a clone to rewrite.
+
+    In-order and CRUSH also often build the same circuit, and all three
     techniques leave some kernels unshared, so several rows of a matrix
-    may simulate identical circuits on identical inputs.  Inside
-    :func:`shared_simulations`, :func:`run_technique` keys each
-    simulation by the prepared circuit's
+    may simulate identical circuits on identical inputs.
+    :func:`run_technique` keys each simulation by the prepared circuit's
     :meth:`~repro.circuit.graph.DataflowCircuit.fingerprint` and
     everything else the simulation reads, and reuses a verified
     :class:`KernelRun` instead of simulating again.
     """
 
     def __init__(self) -> None:
+        self.bases: Dict[tuple, _Buffered] = {}
+        #: Preparations that started from a clone of an earlier one's base.
+        self.shared_preparations = 0
         self.runs: Dict[tuple, KernelRun] = {}
         #: Rows served from ``runs`` instead of a simulation.
         self.shared = 0

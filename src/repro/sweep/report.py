@@ -81,6 +81,11 @@ def summarize(outcome: SweepOutcome) -> str:
         lines.append(
             f"  aggregate speedup vs serial: {outcome.speedup:.2f}x"
         )
+    if outcome.shared_preparations:
+        lines.append(
+            f"  {outcome.shared_preparations} preparations shared "
+            f"(techniques of a kernel already buffered)"
+        )
     if outcome.shared_simulations:
         lines.append(
             f"  {outcome.shared_simulations} simulations shared "
@@ -126,6 +131,7 @@ def outcome_to_dict(outcome: SweepOutcome) -> Dict[str, Any]:
         "cache_hits": outcome.cache_hits,
         "cache_misses": outcome.cache_misses,
         "failed": len(outcome.failed_records),
+        "shared_preparations": outcome.shared_preparations,
         "shared_simulations": outcome.shared_simulations,
         "records": [r.to_dict() for r in outcome.records],
     }
@@ -138,6 +144,7 @@ def load_outcome(path) -> SweepOutcome:
         records=[SweepRecord.from_dict(r) for r in data["records"]],
         workers=data.get("workers", 0),
         wall_time_s=data.get("wall_time_s", 0.0),
+        shared_preparations=data.get("shared_preparations", 0),
         shared_simulations=data.get("shared_simulations", 0),
     )
 

@@ -13,10 +13,13 @@ count or completion order:
   (``workers >= 1``) so that a crashing or deadlocking configuration is
   *captured* — error type and message preserved in a ``failed`` record
   — instead of taking the whole sweep down;
-* the serial path simulates each distinct circuit once: one-job tasks
+* the serial path lowers and buffers each kernel once and simulates
+  each distinct circuit once (:func:`repro.pipeline.shared_simulations`):
+  tasks of the same kernel, style, scale and size overrides start their
+  sharing passes from clones of one buffered circuit, and one-job tasks
   whose prepared circuits, inputs and simulation settings are identical
-  share one verified run (:func:`repro.pipeline.shared_simulations`);
-  a pooled sweep forks a child per task and shares nothing;
+  share one verified run; a pooled sweep forks a child per task and
+  shares nothing;
 * each child is subject to a per-task wall-clock ``timeout``; a failing
   batch re-queues its jobs as one-job tasks, and each failing one-job
   task is retried ``retries`` times before its failure is recorded.
@@ -38,6 +41,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..analysis.lp_sizing import load_solver
 from ..pipeline import (
+    SimulationMemo,
     TechniqueResult,
     run_technique,
     run_technique_batch,
@@ -142,6 +146,9 @@ class SweepOutcome:
     records: List[SweepRecord] = field(default_factory=list)
     workers: int = 0
     wall_time_s: float = 0.0
+    #: Rows whose preparation a serial sweep started from a clone of an
+    #: earlier row's buffered circuit (always 0 for pooled sweeps).
+    shared_preparations: int = 0
     #: Rows whose simulation a serial sweep served from an earlier row
     #: with an identical circuit (always 0 for pooled sweeps).
     shared_simulations: int = 0
@@ -201,9 +208,13 @@ def run_sweep(
     """Run every job, answering from ``cache`` where possible.
 
     ``workers=0`` executes misses serially in-process (no timeout
-    enforcement — the serial reference path) and simulates each distinct
-    circuit once: rows with identical prepared circuits, inputs and
-    simulation settings share one verified run, counted in
+    enforcement — the serial reference path).  It lowers and places
+    buffers once per kernel, style, scale and size overrides, and each
+    technique shares from a clone of that circuit (counted in
+    ``shared_preparations``; every row's ``opt_time_s`` adds the one
+    placement measurement to its own sharing time).  It simulates each
+    distinct circuit once: rows with identical prepared circuits, inputs
+    and simulation settings share one verified run, counted in
     ``shared_simulations``.  ``workers >= 1`` fans misses out over that
     many isolated child processes, which share nothing.  The returned
     records are in submission order independent of completion order.
@@ -240,19 +251,19 @@ def run_sweep(
     width = lanes if lanes and worker_fn is execute_job else 1
     queue = _Queue(_plan_tasks(misses, width), retries, records, cache,
                    on_record)
-    shared = 0
     if workers <= 0:
         with shared_simulations() as memo:
             _run_serial(queue, worker_fn)
-        shared = memo.shared
     else:
+        memo = SimulationMemo()  # stays empty: pooled children share nothing
         _run_pool(queue, workers, worker_fn, timeout)
 
     return SweepOutcome(
         records=[records[i] for i in range(len(jobs))],
         workers=workers,
         wall_time_s=time.perf_counter() - t_start,
-        shared_simulations=shared,
+        shared_preparations=memo.shared_preparations,
+        shared_simulations=memo.shared,
     )
 
 

@@ -1,15 +1,21 @@
-"""DataflowCircuit container: construction, validation, rewiring."""
+"""DataflowCircuit container: construction, validation, rewiring, clone."""
+
+from collections import deque
 
 import pytest
 
 from repro.circuit import (
     DataflowCircuit,
     EagerFork,
+    ElasticBuffer,
     FunctionalUnit,
+    OpSpec,
     Sequence,
     Sink,
 )
 from repro.errors import CircuitError
+from repro.frontend.kernels import KERNEL_NAMES
+from repro.pipeline import TECHNIQUES, prepare_circuit
 
 
 def two_unit_circuit():
@@ -159,3 +165,122 @@ class TestViews:
         g = c.unit_graph()
         assert g.has_edge("src", "sink")
         assert set(g.nodes) == {"src", "sink"}
+
+
+# --------------------------------------------------------------------------
+# clone: every small configuration's prepared circuit
+
+CONFIGS = [
+    (kernel, technique, style)
+    for style in ("bb", "fast-token")
+    for kernel in KERNEL_NAMES
+    for technique in TECHNIQUES
+]
+
+
+def _immutable(value) -> bool:
+    if isinstance(value, (tuple, frozenset)):
+        return all(map(_immutable, value))
+    return type(value) in (type(None), bool, int, float, str)
+
+
+@pytest.fixture(scope="module")
+def prepared_circuits():
+    """The prepared circuit of each of the 84 small configurations."""
+    return {
+        (k, t, s): prepare_circuit(k, t, style=s, scale="small").circuit
+        for k, t, s in CONFIGS
+    }
+
+
+def _state(circuit):
+    """Everything a change to a clone must leave alone: the fingerprint,
+    every unit's attributes (``meta`` included) and the port wiring."""
+    return (
+        circuit.fingerprint(),
+        [repr(vars(u)) for u in circuit.units.values()],
+        [
+            ([ch.cid for ch in circuit.in_channels(u)],
+             [ch.cid for ch in circuit.out_channels(u)])
+            for u in circuit.units.values()
+        ],
+    )
+
+
+def _mutate_containers(unit) -> int:
+    """Change every container attribute of ``unit``; returns how many."""
+    changed = 0
+    for value in vars(unit).values():
+        if isinstance(value, dict):
+            value["mutated"] = 1
+        elif isinstance(value, set):
+            value.add("mutated")
+        elif isinstance(value, (list, deque)):
+            value.append("mutated")
+        else:
+            continue
+        changed += 1
+    return changed
+
+
+class TestClone:
+    def test_clone_has_the_fingerprint_and_continues_fresh_names(
+            self, prepared_circuits):
+        for config, circuit in prepared_circuits.items():
+            twin = circuit.clone()
+            assert twin.fingerprint() is not None, config
+            assert twin.fingerprint() == circuit.fingerprint(), config
+            prefixes = sorted(circuit._name_counters) + ["fresh"]
+            assert ([twin.fresh_name(p) for p in prefixes]
+                    == [circuit.fresh_name(p) for p in prefixes]), config
+
+    def test_changing_unit_containers_leaves_the_original(
+            self, prepared_circuits):
+        for config, circuit in prepared_circuits.items():
+            before = _state(circuit)
+            twin = circuit.clone()
+            assert sum(map(_mutate_containers, twin.units.values())) >= \
+                len(twin.units), config  # every unit has ``meta``
+            assert _state(circuit) == before, config
+            assert twin.fingerprint() != before[0], config
+
+    def test_changing_channel_attrs_leaves_the_original(
+            self, prepared_circuits):
+        for config, circuit in prepared_circuits.items():
+            before = _state(circuit)
+            twin = circuit.clone()
+            for ch in twin.channels:
+                ch.attrs["mutated"] = 1
+            assert _state(circuit) == before, config
+            assert twin.fingerprint() != before[0], config
+
+    def test_splicing_a_buffer_leaves_the_original(self, prepared_circuits):
+        for config, circuit in prepared_circuits.items():
+            before = _state(circuit)
+            twin = circuit.clone()
+            ch = twin.channels[0]
+            dst, port = twin.units[ch.dst.unit], ch.dst.index
+            buf = twin.add(ElasticBuffer(twin.fresh_name("probe"), slots=2))
+            twin.redirect_dst(ch, buf, 0)
+            twin.connect(buf, 0, dst, port, width=ch.width)
+            twin.validate()
+            assert _state(circuit) == before, config
+            assert twin.fingerprint() != before[0], config
+            circuit.validate()
+
+    def test_no_unit_attribute_nests_a_mutable_container(
+            self, prepared_circuits):
+        """A one-level copy is a full copy only while this holds."""
+        for config, circuit in prepared_circuits.items():
+            for unit in circuit.units.values():
+                for attr, value in vars(unit).items():
+                    if isinstance(value, dict):
+                        items = [*value.keys(), *value.values()]
+                    elif isinstance(value, (list, set, deque)):
+                        items = list(value)
+                    else:
+                        assert _immutable(value) or isinstance(
+                            value, OpSpec), (config, unit.name, attr)
+                        continue
+                    assert all(map(_immutable, items)), \
+                        (config, unit.name, attr, value)

@@ -58,6 +58,13 @@ def test_only_the_serial_sweep_shares_simulations(serial_outcome,
     assert parallel_outcome.shared_simulations == 0
 
 
+def test_only_the_serial_sweep_shares_preparations(serial_outcome,
+                                                   parallel_outcome):
+    # Three kernels: each is buffered once for its three techniques.
+    assert serial_outcome.shared_preparations == 6
+    assert parallel_outcome.shared_preparations == 0
+
+
 def test_records_follow_submission_order(parallel_outcome):
     shuffled = MATRIX[1::2] + MATRIX[::-2]
     assert [r.job for r in parallel_outcome.records] == shuffled

@@ -241,3 +241,35 @@ class TestAnalyzeCLI:
         assert code == 4
         captured = capsys.readouterr()
         assert "proved memory-dependence violation" in captured.err
+
+
+class TestCLISharesPreparations:
+    """``repro lint`` and ``repro analyze`` lower and buffer each kernel
+    once for all of its techniques."""
+
+    @pytest.fixture
+    def placements(self, monkeypatch):
+        import repro.frontend.kernels as kernels
+        import repro.pipeline as pipeline
+
+        monkeypatch.setattr(kernels, "KERNEL_NAMES", ("histogram", "atax"))
+        calls = []
+        real = pipeline.place_buffers
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "place_buffers", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["lint", "--all"],
+        ["analyze", "ii", "--no-sim"],
+        ["analyze", "memdep", "--no-sim"],
+    ], ids=["lint", "analyze-ii", "analyze-memdep"])
+    def test_each_kernel_is_buffered_once(self, placements, argv, capsys):
+        assert main([*argv, "--scale", "small"]) == 0
+        out = capsys.readouterr().out
+        assert "histogram" in out and "atax" in out
+        assert len(placements) == 2
