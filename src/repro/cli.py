@@ -60,7 +60,8 @@ def _parse_seeds(spec: str) -> List[int]:
 
 
 def _cmd_run(args) -> int:
-    from .pipeline import run_technique, run_technique_batch
+    from .pipeline import run_technique_batch
+    from .sim import sanitize_default
 
     seeds = _parse_seeds(args.seeds)
     if args.lanes is not None and args.lanes < 1:
@@ -70,26 +71,22 @@ def _cmd_run(args) -> int:
         print("error: --seeds with several values needs simulation "
               "(drop --no-sim)", file=sys.stderr)
         return 2
-    if len(seeds) > 1 and args.sanitize and (args.lanes or 0) > 1:
+    sanitize = True if args.sanitize else None
+    if (len(seeds) > 1 and (args.lanes or 0) > 1
+            and (args.sanitize or sanitize_default())):
         print("error: --sanitize is scalar-only and cannot drive a lane "
               f"batch (--lanes {args.lanes}); use --lanes 1 to check the "
               "seeds one by one", file=sys.stderr)
         return 2
-    common = dict(style=args.style, scale=args.scale,
-                  sim_backend=args.sim_backend, lint=args.lint)
-    if len(seeds) == 1 or args.sanitize:
-        batches = [[run_technique(
-            args.kernel, args.technique, simulate=not args.no_sim,
-            sanitize=True if args.sanitize else None, seed=seed,
-            **common,
-        )] for seed in seeds]
-    else:
-        width = args.lanes or len(seeds)
-        batches = [
-            run_technique_batch(args.kernel, args.technique,
-                                seeds=seeds[i:i + width], **common)
-            for i in range(0, len(seeds), width)
-        ]
+    width = args.lanes or len(seeds)
+    batches = [
+        run_technique_batch(
+            args.kernel, args.technique, seeds=seeds[i:i + width],
+            style=args.style, scale=args.scale, simulate=not args.no_sim,
+            sim_backend=args.sim_backend, lint=args.lint, sanitize=sanitize,
+        )
+        for i in range(0, len(seeds), width)
+    ]
 
     head = batches[0][0]
     print(f"kernel      : {head.kernel} [{head.style}, scale={args.scale}]")
@@ -161,9 +158,23 @@ def _cmd_sweep(args) -> int:
         write_outputs,
     )
 
-    if args.lanes is not None and args.lanes < 1:
-        print("error: --lanes wants a positive integer", file=sys.stderr)
-        return 2
+    problems = [
+        (args.lanes is not None and args.lanes < 1,
+         "--lanes wants a positive integer"),
+        (args.jobs < 0,
+         "--jobs wants 0 (serial, in-process) or a positive number of "
+         "worker processes"),
+        (args.retries < 0, "--retries wants 0 or a positive integer"),
+        (args.timeout is not None and args.timeout <= 0,
+         "--timeout wants a positive number of seconds"),
+        (args.timeout is not None and args.jobs == 0,
+         "--timeout needs worker processes (--jobs 1 or more); the serial "
+         "path (--jobs 0) cannot stop a job"),
+    ]
+    for bad, message in problems:
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
     jobs = build_matrix(
         kernels=args.kernel or None,
         techniques=args.technique or None,

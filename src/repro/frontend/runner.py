@@ -9,7 +9,7 @@ Every seed, alone (:func:`simulate_kernel`) or as one lane of a batch
 (:func:`simulate_kernel_batch`), gets the same set-up — inputs, the
 interpreter reference, a seeded :class:`~repro.sim.Memory` — and the same
 verification, which raises :class:`~repro.errors.SimulationError` on any
-difference.  Event and one-seed batches run seed by seed.
+difference.  Event, one-seed and sanitized batches run seed by seed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..sim import DEFAULT_BACKEND, Memory, SimProfile, Trace, create_engine
-from ..sim.batched import refuse_observers
+from ..sim.sanitize import HandshakeSanitizer, sanitize_default
 from .interp import RefResult, run_reference
 from .ir import Kernel
 from .lower import LoweredKernel
@@ -47,8 +47,8 @@ class KernelRun:
     mask_promotions: int = 0
     divergence: Optional[str] = None
     #: Which data representation executed the run: ``"scalar"`` for the
-    #: one-lane engines (event and one-seed batches included, which run
-    #: seed by seed), ``"tuple"`` for the lane-parallel engine.
+    #: one-lane engines (batches that run seed by seed included),
+    #: ``"tuple"`` for the lane-parallel engine.
     #: Provenance only — both are bit-identical by construction.
     data_plane: str = "scalar"
 
@@ -175,7 +175,7 @@ def simulate_kernel_batch(
     *,
     max_cycles: int = 2_000_000,
     backend: Optional[str] = None,
-    sanitize: Optional[bool] = None,
+    sanitize: object = None,
 ) -> List[KernelRun]:
     """Run one input set per seed, as the lanes of one batched simulation.
 
@@ -184,23 +184,33 @@ def simulate_kernel_batch(
     reference checks, bit for bit — but the lane-parallel engine
     (:class:`~repro.sim.batched.BatchedEngine`, used for ``"codegen"``)
     evaluates all lanes in one generated-loop pass, so the batch costs
-    far less wall clock than ``len(seeds)`` scalar runs.  A batch with no lane loop to use — the event backend, or a
-    single seed — is exactly that list of scalar runs.
+    far less wall clock than ``len(seeds)`` scalar runs.  This is the one
+    place that chooses: a batch with no lane loop to use or nothing to
+    share — the event backend, a single seed, or the sanitizer armed
+    (``sanitize``, or ``$REPRO_SIM_SANITIZE`` when it is None) — is
+    exactly that list of scalar runs, each with its own sanitizer.  A
+    pre-built :class:`~repro.sim.sanitize.HandshakeSanitizer` observes
+    one run, so it is accepted with one seed only.
 
     ``sim_wall_s`` on every returned :class:`KernelRun` is the wall time
     of the *whole batch* (lanes do not run separately, so there is no
     per-lane time to report; a seed-by-seed batch reports the sum of its
-    seeds' simulation times).  Observers (trace/profile/sanitizer) are
-    scalar-only; requesting them here raises :class:`SimulationError`.
+    seeds' simulation times).
     """
     if len(seeds) < 1:
         raise SimulationError("simulate_kernel_batch needs at least one seed")
-    refuse_observers(sanitize=sanitize)
+    if isinstance(sanitize, HandshakeSanitizer) and len(seeds) > 1:
+        raise SimulationError(
+            "batched mode cannot share one HandshakeSanitizer across "
+            f"{len(seeds)} seeds: it observes one run; pass sanitize=True "
+            "to check every seed with its own"
+        )
     backend = backend or DEFAULT_BACKEND
-    if backend == "event" or len(seeds) == 1:
+    armed = sanitize_default() if sanitize is None else bool(sanitize)
+    if backend == "event" or len(seeds) == 1 or armed:
         runs = [
             simulate_kernel(lowered, max_cycles=max_cycles, seed=s,
-                            backend=backend, sanitize=False)
+                            backend=backend, sanitize=sanitize)
             for s in seeds
         ]
         wall = sum(run.sim_wall_s for run in runs)

@@ -33,7 +33,7 @@ from .errors import ReproError
 from .frontend import (
     LoweredKernel,
     lower_kernel,
-    simulate_kernel,
+    simulate_kernel,  # noqa: F401  (perfbench's traced run wraps it here)
     simulate_kernel_batch,
 )
 from .frontend.kernels import build
@@ -386,16 +386,18 @@ class SimulationMemo:
     In-order and CRUSH also often build the same circuit, and all three
     techniques leave some kernels unshared, so several rows of a matrix
     may simulate identical circuits on identical inputs.
-    :func:`run_technique` keys each simulation by the prepared circuit's
-    :meth:`~repro.circuit.graph.DataflowCircuit.fingerprint` and
-    everything else the simulation reads, and reuses a verified
-    :class:`KernelRun` instead of simulating again.
+    :func:`run_technique_batch`, the path of every row and lane batch,
+    keys each seed's run by the prepared circuit's
+    :meth:`~repro.circuit.graph.DataflowCircuit.fingerprint`, the seed
+    and everything else the simulation reads, and reuses a verified
+    :class:`KernelRun` instead of simulating that seed again.
     """
 
     def __init__(self) -> None:
         self.bases: Dict[tuple, _Buffered] = {}
         #: Preparations that started from a clone of an earlier one's base.
         self.shared_preparations = 0
+        #: Verified runs by (circuit and settings, seed).
         self.runs: Dict[tuple, KernelRun] = {}
         #: Rows served from ``runs`` instead of a simulation.
         self.shared = 0
@@ -418,94 +420,49 @@ def shared_simulations() -> Iterator[SimulationMemo]:
         _memo.reset(token)
 
 
-def _simulation_key(
+def _simulate(
     prep: PreparedRun,
+    seeds: List[int],
     scale: str,
     size_overrides: Dict[str, int],
-    seed: int,
     max_cycles: int,
     sim_backend: Optional[str],
-    sanitize: Optional[bool],
-) -> Optional[tuple]:
-    """One row's :class:`SimulationMemo` key, or ``None`` when the row
-    simulates on its own: the sanitizer is armed (its verdict belongs to
-    the run that observed it) or the circuit has no fingerprint."""
-    if sanitize_default() if sanitize is None else bool(sanitize):
-        return None
-    fingerprint = prep.circuit.fingerprint()
-    if fingerprint is None:
-        return None
-    return (
+    sanitize: object,
+) -> List[KernelRun]:
+    """One verified run per seed of a prepared circuit.
+
+    Inside :func:`shared_simulations`, each seed looks its run up in the
+    memo, keyed by the circuit's fingerprint, the seed and everything else
+    the simulation reads.  The seeds it lacks simulate as one batch
+    (:func:`~repro.frontend.simulate_kernel_batch`), and their verified
+    runs are stored.  Nothing is shared with the sanitizer armed (its
+    verdict belongs to the run that observed it) or for a circuit with no
+    fingerprint.
+    """
+    memo = _memo.get()
+    armed = sanitize_default() if sanitize is None else bool(sanitize)
+    fingerprint = None if memo is None or armed else prep.circuit.fingerprint()
+    key = None if fingerprint is None else (
         fingerprint, prep.kernel, scale,
         tuple(sorted(size_overrides.items())), prep.lowered.end_sink,
-        seed, max_cycles, sim_backend or DEFAULT_BACKEND,
+        max_cycles, sim_backend or DEFAULT_BACKEND,
     )
-
-
-def run_technique(
-    kernel_name: str,
-    technique: str,
-    style: str = "bb",
-    scale: str = "paper",
-    simulate: bool = True,
-    max_cycles: int = 4_000_000,
-    sim_backend: Optional[str] = None,
-    lint: str = "warn",
-    sanitize: Optional[bool] = None,
-    seed: int = 7,
-    **size_overrides: int,
-) -> TechniqueResult:
-    """Run the full pipeline for one table row.
-
-    ``sim_backend`` selects the simulation backend (None = the default);
-    the choice cannot change any metric — the backends are bit-identical —
-    but it is recorded in the result for provenance.
-
-    ``lint`` gates simulation on the static checks: ``"warn"`` (default)
-    raises :class:`~repro.errors.LintError` on error-level diagnostics
-    only — a circuit with lint errors would deadlock or miscompute, so
-    failing fast beats burning ``max_cycles`` of simulation; ``"strict"``
-    also fails on warnings (CI); ``"off"`` skips the gate.  Diagnostic
-    counts land in the result either way.
-
-    ``sanitize`` turns on the runtime handshake-protocol sanitizer for
-    the simulation (see :mod:`repro.sim.sanitize`; None defers to
-    ``$REPRO_SIM_SANITIZE``); it cannot change the cycle count, only
-    fail on latency-insensitive contract violations.
-
-    ``seed`` selects the input data set (``cycles`` depends on it for
-    data-dependent kernels); it is recorded in the result.
-
-    Inside :func:`shared_simulations` (a serial sweep), a row whose
-    circuit, inputs and simulation settings equal an earlier row's
-    reuses that row's verified run instead of simulating again.
-    """
-    prep, columns = _prepare_and_analyze(
-        kernel_name, technique, style, scale, lint, size_overrides
-    )
-    run = None
-    if simulate:
-        memo = _memo.get()
-        key = None if memo is None else _simulation_key(
-            prep, scale, size_overrides, seed, max_cycles, sim_backend,
-            sanitize,
-        )
-        if key is not None and key in memo.runs:
-            run = memo.runs[key]
-            memo.shared += 1
-        else:
-            run = simulate_kernel(
-                prep.lowered,
-                max_cycles=max_cycles,
-                backend=sim_backend,
-                sanitize=sanitize,
-                seed=seed,
-            )
-            if key is not None:
-                memo.runs[key] = run
-
-    est = estimate_circuit(prep.circuit)
-    return _result_row(prep, est, run, seed, sim_backend, columns)
+    runs: Dict[int, KernelRun] = {} if key is None else {
+        seed: memo.runs[key, seed] for seed in seeds
+        if (key, seed) in memo.runs
+    }
+    todo = [seed for seed in seeds if seed not in runs]
+    if key is not None:
+        memo.shared += len(seeds) - len(todo)
+    if todo:
+        fresh = dict(zip(todo, simulate_kernel_batch(
+            prep.lowered, todo, max_cycles=max_cycles, backend=sim_backend,
+            sanitize=sanitize,
+        )))
+        runs.update(fresh)
+        if key is not None:
+            memo.runs.update(((key, seed), run) for seed, run in fresh.items())
+    return [runs[seed] for seed in seeds]
 
 
 def _result_row(
@@ -555,37 +512,74 @@ def run_technique_batch(
     seeds: List[int],
     style: str = "bb",
     scale: str = "paper",
+    simulate: bool = True,
     max_cycles: int = 4_000_000,
     sim_backend: Optional[str] = None,
     lint: str = "warn",
+    sanitize: object = None,
     **size_overrides: int,
 ) -> List[TechniqueResult]:
-    """One table row per seed, from one batched simulation.
+    """The full pipeline for one table row per seed: every row's one path.
 
-    Bit-identical to ``[run_technique(..., seed=s) for s in seeds]`` in
-    every deterministic metric: the circuit is prepared, linted and
-    estimated **once** (those steps do not depend on input data), and
-    the per-seed cycle counts come from one batched simulation
-    (:func:`repro.frontend.simulate_kernel_batch`: lane-parallel on the
-    generated-loop backends, seed by seed for the event backend or a
-    single seed), which is bit-identical to scalar runs.
-    ``opt_time_s`` is the shared preparation's wall clock, identical
-    across the rows.
+    The circuit is prepared, linted and estimated **once** (those steps
+    do not depend on input data); with ``simulate`` each seed gets one
+    verified run, lane-parallel where
+    :func:`~repro.frontend.simulate_kernel_batch` can, and rows equal one
+    ``run_technique`` per seed in every deterministic metric.
+    ``opt_time_s`` is the shared preparation's wall clock.
+    ``simulate=False`` gives one row per seed with zero cycles.
 
-    Observers (``sanitize``) are scalar-only and deliberately not
-    offered here.
+    ``sim_backend`` selects the simulation backend (None = the default);
+    the backends are bit-identical, so it is provenance only.  ``lint``
+    gates simulation on the static checks: ``"warn"`` (default) raises
+    :class:`~repro.errors.LintError` on error-level diagnostics — a
+    circuit with lint errors would deadlock or miscompute, so failing
+    fast beats burning ``max_cycles`` of simulation; ``"strict"`` also
+    fails on warnings (CI); ``"off"`` skips the gate.  ``sanitize`` arms
+    the runtime handshake-protocol sanitizer for every run (see
+    :mod:`repro.sim.sanitize`; None defers to ``$REPRO_SIM_SANITIZE``);
+    it cannot change a cycle count, only fail on latency-insensitive
+    contract violations.
+
+    Inside :func:`shared_simulations` (a serial sweep), a seed whose
+    circuit, inputs and simulation settings equal an earlier row's
+    reuses that row's verified run instead of simulating again.
     """
     if not seeds:
         raise ReproError("run_technique_batch needs at least one seed")
     prep, columns = _prepare_and_analyze(
         kernel_name, technique, style, scale, lint, size_overrides
     )
-    runs = simulate_kernel_batch(
-        prep.lowered, seeds, max_cycles=max_cycles, backend=sim_backend,
-    )
+    runs: List[Optional[KernelRun]] = [None] * len(seeds)
+    if simulate:
+        runs = _simulate(prep, seeds, scale, size_overrides, max_cycles,
+                         sim_backend, sanitize)
 
     est = estimate_circuit(prep.circuit)
     return [
         _result_row(prep, est, run, seed, sim_backend, columns)
         for seed, run in zip(seeds, runs)
     ]
+
+
+def run_technique(
+    kernel_name: str,
+    technique: str,
+    style: str = "bb",
+    scale: str = "paper",
+    simulate: bool = True,
+    max_cycles: int = 4_000_000,
+    sim_backend: Optional[str] = None,
+    lint: str = "warn",
+    sanitize: object = None,
+    seed: int = 7,
+    **size_overrides: int,
+) -> TechniqueResult:
+    """One table row: :func:`run_technique_batch` for the one seed ``seed``
+    (the input data set; ``cycles`` depends on it for data-dependent
+    kernels).  The other arguments are the batch's."""
+    return run_technique_batch(
+        kernel_name, technique, [seed], style=style, scale=scale,
+        simulate=simulate, max_cycles=max_cycles, sim_backend=sim_backend,
+        lint=lint, sanitize=sanitize, **size_overrides,
+    )[0]

@@ -29,8 +29,8 @@ flag, or the ``REPRO_SIM_BACKEND`` environment variable.  With
 per pass over lane tuples; the event backend, which has no generated
 loop, refuses ``lanes``.  Lanes are only a width: callers that batch
 seeds (:func:`repro.frontend.simulate_kernel_batch`, ``repro run``/``sweep
---lanes``) run an event batch, and any one-seed batch, seed by seed on
-the scalar engines.  Every engine reports a deadlock or an exhausted
+--lanes``) run an event batch, any one-seed batch and any batch with the
+sanitizer armed seed by seed on the scalar engines.  Every engine reports a deadlock or an exhausted
 cycle budget through one function,
 :func:`~repro.sim.engine.raise_stopped`.
 

@@ -59,8 +59,9 @@ one-seed batch on any backend — seed by seed on scalar engines.
 
 Observers are refused up front: a ``Trace``/``SimProfile``/sanitizer
 observes one circuit execution, and a batched pass is ``B`` of them
-folded together.  Use scalar runs (``lanes=None``) for observed
-simulations.
+folded together.  ``simulate_kernel_batch`` therefore runs a batch with
+the sanitizer armed seed by seed, one sanitizer per run; only this
+engine refuses.
 """
 
 from __future__ import annotations
@@ -74,36 +75,6 @@ from .codegen_blocks import mask_state
 from .engine import DEFAULT_DEADLOCK_WINDOW, raise_stopped
 from .memory import Memory
 from .sanitize import sanitize_default
-
-
-def refuse_observers(trace=None, profile=None, sanitize=None) -> None:
-    """Raise :class:`SimulationError` if any observer is requested.
-
-    A trace, profile or sanitizer observes one execution; a batch folds
-    several together.  ``sanitize=None`` defers to
-    ``$REPRO_SIM_SANITIZE``, and a pre-built
-    :class:`~repro.sim.sanitize.HandshakeSanitizer` (a truthy non-bool)
-    counts as a request too.
-    """
-    if trace is not None:
-        raise SimulationError(
-            "batched mode cannot drive a Trace: a trace observes one "
-            "execution and a batched pass folds several together; "
-            "run lanes=None (scalar) to trace"
-        )
-    if profile is not None:
-        raise SimulationError(
-            "batched mode cannot drive a SimProfile: the lane-parallel "
-            "loop has no per-unit instrumentation points; profile a "
-            "scalar run (lanes=None) instead"
-        )
-    if sanitize is not False and (sanitize is not None or sanitize_default()):
-        raise SimulationError(
-            "batched mode cannot drive the HandshakeSanitizer: it "
-            "checks one execution's handshake contract per cycle; "
-            "drop --sanitize/REPRO_SIM_SANITIZE or run scalar "
-            "(lanes=None)"
-        )
 
 
 class BatchedEngine:
@@ -126,7 +97,25 @@ class BatchedEngine:
             raise SimulationError(
                 f"lanes must be a positive integer (got {lanes!r})"
             )
-        refuse_observers(trace, profile, sanitize)
+        if trace is not None:
+            raise SimulationError(
+                "batched mode cannot drive a Trace: a trace observes one "
+                "execution and a batched pass folds several together; "
+                "run lanes=None (scalar) to trace"
+            )
+        if profile is not None:
+            raise SimulationError(
+                "batched mode cannot drive a SimProfile: the lane-parallel "
+                "loop has no per-unit instrumentation points; profile a "
+                "scalar run (lanes=None) instead"
+            )
+        if sanitize_default() if sanitize is None else sanitize:
+            raise SimulationError(
+                "batched mode cannot drive the HandshakeSanitizer: it "
+                "checks one execution's handshake contract per cycle; "
+                "drop --sanitize/REPRO_SIM_SANITIZE or run scalar "
+                "(lanes=None)"
+            )
         circuit.validate()
         self.circuit = circuit
         self.lanes = lanes

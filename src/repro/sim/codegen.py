@@ -52,10 +52,10 @@ modules' piece code objects in process, and a content-addressed disk
 cache under ``~/.cache/repro-codegen/`` (override with
 ``$REPRO_CODEGEN_CACHE``) storing the concatenated source next to one
 marshalled tuple of piece code objects.  Keys are a SHA-256 over the
-generated source *plus* the sweep cache's repro-source salt and the
-interpreter's bytecode magic, so editing any repro module — in
-particular this generator — or switching Python versions can never
-serve stale code.
+generated source *plus* a hash of this module, the interpreter's
+bytecode magic and the payload header, so editing this generator or
+switching Python versions can never serve stale code, while an edit
+elsewhere that changes no generated text keeps the cache warm.
 
 A :class:`~repro.sim.profile.SimProfile` selects the *profiled* source
 variant: every occurrence block counts its unit's evaluation, every
@@ -70,6 +70,7 @@ backend simulates them.
 from __future__ import annotations
 
 import builtins
+import functools
 import hashlib
 import importlib.util
 import inspect
@@ -918,20 +919,27 @@ _MODULE_CACHE_MAX = 2
 _MODULE_CACHE: "OrderedDict[str, Tuple[CodeType, ...]]" = OrderedDict()
 
 
+@functools.lru_cache(maxsize=None)
+def _codegen_salt() -> bytes:
+    """Hash of this module, which compiles the generated pieces and links
+    their code objects."""
+    return hashlib.sha256(Path(__file__).read_bytes()).digest()
+
+
 def source_key(source: Union[str, Seq[str]]) -> str:
     """Content address of one generated module (its text, or its pieces:
     the key of the pieces is the key of their concatenation).
 
-    Covers the generated source itself, the repro source salt (any edit
-    to a repro module — including this generator — changes it) and the
-    interpreter's bytecode magic, so a cached module can never be served
-    stale across code or interpreter changes.
+    Covers exactly what the cached bytecode depends on: the generated
+    source, this module (:func:`_codegen_salt`), the interpreter's
+    bytecode magic and the payload header :data:`_PYC_HEADER`.  An edit
+    elsewhere in repro that changes no generated text keeps every cached
+    module warm; one that does changes the text, and with it the key.
     """
-    from ..sweep.cache import code_salt
-
     h = hashlib.sha256()
-    h.update(code_salt().encode())
+    h.update(_codegen_salt())
     h.update(importlib.util.MAGIC_NUMBER)
+    h.update(_PYC_HEADER)
     h.update(b"\0")
     for piece in [source] if isinstance(source, str) else source:
         h.update(piece.encode())

@@ -43,8 +43,7 @@ from .runner import (
     SweepOutcome,
     SweepRecord,
     SweepTimeoutError,
-    execute_batch,
-    execute_job,
+    execute_jobs,
     run_sweep,
 )
 
@@ -66,8 +65,7 @@ __all__ = [
     "code_salt",
     "dedupe",
     "default_cache_dir",
-    "execute_batch",
-    "execute_job",
+    "execute_jobs",
     "load_outcome",
     "outcome_to_dict",
     "record_csv_row",

@@ -16,10 +16,10 @@ count or completion order:
 * the serial path lowers and buffers each kernel once and simulates
   each distinct circuit once (:func:`repro.pipeline.shared_simulations`):
   tasks of the same kernel, style, scale and size overrides start their
-  sharing passes from clones of one buffered circuit, and one-job tasks
-  whose prepared circuits, inputs and simulation settings are identical
-  share one verified run; a pooled sweep forks a child per task and
-  shares nothing;
+  sharing passes from clones of one buffered circuit, and seeds whose
+  prepared circuits, inputs and simulation settings are identical share
+  one verified run, in one-job tasks and lane batches alike; a pooled
+  sweep forks a child per task and shares nothing;
 * each child is subject to a per-task wall-clock ``timeout``; a failing
   batch re-queues its jobs as one-job tasks, and each failing one-job
   task is retried ``retries`` times before its failure is recorded.
@@ -40,10 +40,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..analysis.lp_sizing import load_solver
+from ..errors import ReproError
 from ..pipeline import (
     SimulationMemo,
     TechniqueResult,
-    run_technique,
+    run_technique,  # noqa: F401  (perfbench's traced run wraps it here)
     run_technique_batch,
     shared_simulations,
 )
@@ -58,37 +59,22 @@ class SweepTimeoutError(Exception):
     """A sweep job exceeded its per-job wall-clock budget."""
 
 
-def execute_job(job: SweepJob) -> TechniqueResult:
-    """The default worker: one full pipeline run for one job."""
-    return run_technique(
-        job.kernel,
-        job.technique,
-        style=job.style,
-        scale=job.scale,
-        simulate=job.simulate,
-        max_cycles=job.max_cycles,
-        sim_backend=job.sim_backend,
-        seed=job.seed,
-        **job.overrides,
-    )
+def execute_jobs(jobs: List[SweepJob]) -> List[TechniqueResult]:
+    """The default worker: one row per job of a task.
 
-
-def execute_batch(jobs: List[SweepJob]) -> List[TechniqueResult]:
-    """The batched worker: jobs differing only in seed, one lane each.
-
-    One lane-parallel simulation replaces ``len(jobs)`` scalar pipeline
-    runs; the returned rows are bit-identical to what
-    :func:`execute_job` would produce per job (same preparation, same
-    per-seed cycle counts — see
-    :func:`repro.frontend.simulate_kernel_batch`).
+    A task's jobs differ only in seed (:meth:`SweepJob.batch_key`), so
+    one :func:`~repro.pipeline.run_technique_batch` call prepares, lints
+    and estimates their circuit once and simulates their seeds as one
+    batch.  Its rows equal one ``run_technique`` call per job.
     """
     first = jobs[0]
     return run_technique_batch(
         first.kernel,
         first.technique,
-        seeds=[j.seed for j in jobs],
+        seeds=[job.seed for job in jobs],
         style=first.style,
         scale=first.scale,
+        simulate=first.simulate,
         max_cycles=first.max_cycles,
         sim_backend=first.sim_backend,
         **first.overrides,
@@ -195,13 +181,17 @@ class SweepOutcome:
         return self
 
 
+#: A sweep worker: the jobs of one task in, one row per job out.
+Worker = Callable[[List[SweepJob]], List[TechniqueResult]]
+
+
 def run_sweep(
     jobs: List[SweepJob],
     workers: int = 0,
     cache: Optional[ResultCache] = None,
     timeout: Optional[float] = None,
     retries: int = 1,
-    worker_fn: Callable[[SweepJob], TechniqueResult] = execute_job,
+    worker_fn: Worker = execute_jobs,
     on_record: Optional[Callable[[SweepRecord], None]] = None,
     lanes: Optional[int] = None,
 ) -> SweepOutcome:
@@ -213,24 +203,35 @@ def run_sweep(
     technique shares from a clone of that circuit (counted in
     ``shared_preparations``; every row's ``opt_time_s`` adds the one
     placement measurement to its own sharing time).  It simulates each
-    distinct circuit once: rows with identical prepared circuits, inputs
-    and simulation settings share one verified run, counted in
-    ``shared_simulations``.  ``workers >= 1`` fans misses out over that
-    many isolated child processes, which share nothing.  The returned
-    records are in submission order independent of completion order.
+    distinct circuit once per seed: rows with identical prepared
+    circuits, inputs and simulation settings share one verified run,
+    lane batches included, counted in ``shared_simulations``.
+    ``workers >= 1`` fans misses out over that many isolated child
+    processes, which share nothing.  The returned records are in
+    submission order independent of completion order.  A negative
+    ``workers`` or a ``timeout`` of 0 or less raises
+    :class:`~repro.errors.ReproError`.
 
-    ``lanes=B`` (with ``B >= 2``) groups cache-missed jobs that differ
-    only in ``seed`` into lane-parallel batches of up to ``B``: one
-    batched simulation (:func:`execute_batch`) replaces up to ``B``
-    scalar pipeline runs, while every job still gets its own record and
-    its own per-seed cache row — warm reruns hit the cache identically
-    either way.  A failing batch is transparently retried job by job on
-    the scalar path (full ``retries`` budget), so failure isolation is
-    no coarser than without lanes.  Batching applies only with the
-    default ``worker_fn`` — a custom worker has unknown semantics and
-    runs per job.  Per-job ``wall_time_s`` of a batch is the batch's
-    wall clock divided evenly over its jobs: they shared one pass.
+    Misses run as *tasks*, one ``worker_fn`` call each, which takes the
+    task's jobs and returns one row per job (default
+    :func:`execute_jobs`).  A task is one job, or with ``lanes=B`` up to
+    ``B`` jobs that differ only in ``seed``: one batched simulation
+    replaces up to ``B`` scalar runs, while every job still gets its own
+    record and its own per-seed cache row — warm reruns hit the cache
+    identically either way.  A failing batch is retried job by job (full
+    ``retries`` budget), so failure isolation is no coarser than without
+    lanes.  Per-job ``wall_time_s`` of a batch is the batch's wall clock
+    divided evenly over its jobs: they shared one pass.
     """
+    if workers < 0:
+        raise ReproError(
+            f"workers must be 0 (serial, in-process) or a positive number "
+            f"of worker processes, not {workers}"
+        )
+    if timeout is not None and timeout <= 0:
+        raise ReproError(
+            f"timeout must be a positive number of seconds, not {timeout}"
+        )
     t_start = time.perf_counter()
     records: Dict[int, SweepRecord] = {}
     misses: List[Tuple[int, SweepJob]] = []
@@ -248,10 +249,9 @@ def run_sweep(
         else:
             misses.append((index, job))
 
-    width = lanes if lanes and worker_fn is execute_job else 1
-    queue = _Queue(_plan_tasks(misses, width), retries, records, cache,
+    queue = _Queue(_plan_tasks(misses, lanes or 1), retries, records, cache,
                    on_record)
-    if workers <= 0:
+    if workers == 0:
         with shared_simulations() as memo:
             _run_serial(queue, worker_fn)
     else:
@@ -271,39 +271,23 @@ def run_sweep(
 # tasks: one job, or the lanes of one batch
 
 
-#: A unit of execution: ``(index, job)`` pairs.  One job runs
-#: ``worker_fn``; several run as the lanes of :func:`execute_batch`.
+#: A unit of execution: ``(index, job)`` pairs, one ``worker_fn`` call.
 Task = List[Tuple[int, SweepJob]]
 
 
 def _plan_tasks(misses: List[Tuple[int, SweepJob]], lanes: int) -> List[Task]:
-    """Split cache misses into tasks of at most ``lanes`` jobs.
-
-    Only simulating jobs batch (a ``simulate=False`` job has no per-seed
-    work to share), and only with jobs of the same ``batch_key``.
-    """
+    """Split cache misses into tasks of at most ``lanes`` jobs of the
+    same ``batch_key``."""
     if lanes < 2:
         return [[miss] for miss in misses]
-    tasks: List[Task] = []
     groups: Dict[tuple, Task] = {}
     for index, job in misses:
-        if job.simulate:
-            groups.setdefault(job.batch_key(), []).append((index, job))
-        else:
-            tasks.append([(index, job)])
-    for members in groups.values():
-        tasks.extend(
-            members[i:i + lanes] for i in range(0, len(members), lanes)
-        )
-    return tasks
-
-
-def _execute(task: Task, worker_fn: Callable[[SweepJob], TechniqueResult]
-             ) -> List[TechniqueResult]:
-    """One job runs ``worker_fn``; several run as one lane batch."""
-    if len(task) == 1:
-        return [worker_fn(task[0][1])]
-    return execute_batch([job for _, job in task])
+        groups.setdefault(job.batch_key(), []).append((index, job))
+    return [
+        members[i:i + lanes]
+        for members in groups.values()
+        for i in range(0, len(members), lanes)
+    ]
 
 
 class _Queue:
@@ -373,14 +357,13 @@ class _Queue:
 # serial path
 
 
-def _run_serial(queue: _Queue,
-                worker_fn: Callable[[SweepJob], TechniqueResult]) -> None:
+def _run_serial(queue: _Queue, worker_fn: Worker) -> None:
     while queue.pending:
         task, attempt, spent = queue.pending.popleft()
         results, error = None, None
         t0 = time.perf_counter()
         try:
-            results = _execute(task, worker_fn)
+            results = worker_fn([job for _, job in task])
         except Exception as exc:
             error = (type(exc).__name__, str(exc))
         queue.settle(task, attempt, spent + time.perf_counter() - t0,
@@ -391,10 +374,9 @@ def _run_serial(queue: _Queue,
 # process-pool path
 
 
-def _child_entry(conn, worker_fn: Callable[[SweepJob], TechniqueResult],
-                 task: Task) -> None:
+def _child_entry(conn, worker_fn: Worker, task: Task) -> None:
     try:
-        results = _execute(task, worker_fn)
+        results = worker_fn([job for _, job in task])
         conn.send(("ok", [r.to_dict() for r in results]))
     except BaseException as exc:  # preserved, not propagated: isolation
         conn.send((
@@ -466,7 +448,7 @@ def _reap(state: _Running, now: float, timeout: Optional[float]):
 def _run_pool(
     queue: _Queue,
     workers: int,
-    worker_fn: Callable[[SweepJob], TechniqueResult],
+    worker_fn: Worker,
     timeout: Optional[float],
 ) -> None:
     ctx = _mp_context()

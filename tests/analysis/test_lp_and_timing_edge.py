@@ -151,7 +151,7 @@ class TestSolverImport:
         code = (
             "import sys\n"
             "from repro.sweep import SweepJob, run_sweep\n"
-            "def probe(job):\n"
+            "def probe(jobs):\n"
             "    raise RuntimeError(str('scipy.optimize' in sys.modules))\n"
             "job = SweepJob(kernel='gsum', technique='crush', scale='small')\n"
             "out = run_sweep([job], workers=1, retries=0, worker_fn=probe)\n"

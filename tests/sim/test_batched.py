@@ -158,8 +158,11 @@ def test_event_batch_runs_seed_by_seed():
         assert run.data_plane == "scalar"
         assert run.mask_promotions == 0 and run.fallback_lanes == 0
     assert len({run.sim_wall_s for run in runs}) == 1
-    with pytest.raises(SimulationError, match="[Ss]anitizer"):
-        simulate_kernel_batch(lowered, seeds, backend="event", sanitize=True)
+    # Seed by seed, each run can carry its own sanitizer.
+    sanitized = simulate_kernel_batch(lowered, seeds, backend="event",
+                                      sanitize=True)
+    assert [(r.cycles, r.fires) for r in sanitized] == \
+        [(r.cycles, r.fires) for r in runs]
 
 
 def test_run_technique_batch_rows_match_scalar():

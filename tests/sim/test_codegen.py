@@ -370,19 +370,28 @@ def test_memo_serves_no_module_to_a_circuit_it_was_not_generated_for(
     assert e5.codegen_origin == "generated"
 
 
-def test_salted_source_change_invalidates_cache(codegen_cache, monkeypatch):
-    """A repro source change must never serve stale generated code."""
+def test_only_a_codegen_edit_invalidates_cached_modules(codegen_cache,
+                                                       monkeypatch):
+    """An edit to the generator never serves stale code; an edit elsewhere
+    in repro that leaves the generated text alone keeps the module warm."""
     import repro.sim.codegen as cg
     import repro.sweep.cache as sweep_cache
 
     e1 = create_engine(_streaming_circuit(4), backend="codegen")
     assert e1.codegen_origin == "generated"
-    # Simulate an edit to a repro module: the source salt changes.
-    monkeypatch.setattr(sweep_cache, "_code_salt_cache", "poisoned-salt")
+    # An edit outside the generator: the sweep cache's repo-wide salt
+    # changes, the module key does not.
+    monkeypatch.setattr(sweep_cache, "_code_salt_cache", "edited-repo")
     cg._MODULE_CACHE.clear()
     e2 = create_engine(_streaming_circuit(4), backend="codegen")
-    assert e2.codegen_key != e1.codegen_key
-    assert e2.codegen_origin == "generated"  # disk entry no longer matches
+    assert e2.codegen_key == e1.codegen_key
+    assert e2.codegen_origin == "disk"
+    # An edit to the generator: its salt changes, and so does the key.
+    monkeypatch.setattr(cg, "_codegen_salt", lambda: b"edited-codegen")
+    cg._MODULE_CACHE.clear()
+    e3 = create_engine(_streaming_circuit(4), backend="codegen")
+    assert e3.codegen_key != e1.codegen_key
+    assert e3.codegen_origin == "generated"  # disk entry no longer matches
     # Both keyed artifacts coexist; neither clobbered the other.
     assert len(list(codegen_cache.rglob("*.pyc"))) == 2
 

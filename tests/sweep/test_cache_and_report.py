@@ -85,10 +85,10 @@ def test_clear(tmp_path):
 
 
 def _tiny_outcome(tmp_path):
-    def worker(job):
-        if job.technique == "naive":
+    def worker(jobs):
+        if jobs[0].technique == "naive":
             raise ValueError("boom")
-        return make_result(technique=job.technique)
+        return [make_result(technique=job.technique) for job in jobs]
 
     jobs = [JOB, SweepJob(kernel="gsum", technique="naive", scale="small")]
     return run_sweep(jobs, workers=0, retries=0, worker_fn=worker,
@@ -150,10 +150,11 @@ def test_outcome_json_is_valid_json(tmp_path):
 
 
 def test_csv_rows_carry_the_seed_and_keep_their_cells(tmp_path):
-    def worker(job):
-        if job.technique == "naive":
+    def worker(jobs):
+        if jobs[0].technique == "naive":
             raise ValueError("boom")
-        return make_result(seed=job.seed, cycles=400 + job.seed)
+        return [make_result(seed=job.seed, cycles=400 + job.seed)
+                for job in jobs]
 
     two_seeds = [
         SweepJob(kernel="gsum", technique="crush", scale="small",

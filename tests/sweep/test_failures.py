@@ -12,33 +12,33 @@ import time
 from repro.sweep import (
     SweepJob,
     build_matrix,
-    execute_job,
+    execute_jobs,
     run_sweep,
 )
 
 OK_JOB = SweepJob(kernel="gsum", technique="crush", scale="small")
 
 
-def _faulty_worker(job):
-    if job.kernel == "atax":
+def _faulty_worker(jobs):
+    if jobs[0].kernel == "atax":
         raise ValueError("injected failure for atax")
-    return execute_job(job)
+    return execute_jobs(jobs)
 
 
-def _hanging_worker(job):
-    if job.kernel == "atax":
+def _hanging_worker(jobs):
+    if jobs[0].kernel == "atax":
         time.sleep(60.0)
-    return execute_job(job)
+    return execute_jobs(jobs)
 
 
-def _dying_worker(job):
-    if job.kernel == "atax":
+def _dying_worker(jobs):
+    if jobs[0].kernel == "atax":
         os._exit(17)  # simulates a hard native crash (no Python traceback)
-    return execute_job(job)
+    return execute_jobs(jobs)
 
 
 def reference_metrics():
-    return execute_job(OK_JOB).deterministic_metrics()
+    return execute_jobs([OK_JOB])[0].deterministic_metrics()
 
 
 def test_raising_job_is_captured_not_fatal():

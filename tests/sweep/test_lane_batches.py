@@ -2,13 +2,15 @@
 
 ``run_sweep(..., lanes=B)`` runs jobs that differ only in seed as the
 lanes of one batched simulation, one task of several jobs.  A batch that
-raises must re-run each of its jobs on the scalar path, and a pooled
-sweep must produce the same rows as the serial one.
+raises must re-run each of its jobs on its own, a pooled sweep must
+produce the same rows as the serial one, and a sanitized sweep runs its
+batches seed by seed.
 """
 
 import pytest
 
 import repro.sweep.runner as runner
+from repro.pipeline import run_technique_batch
 from repro.sweep import ResultCache, build_matrix, run_sweep
 
 # gsumif's data-dependent branch makes distinct seeds diverge, so the
@@ -26,8 +28,11 @@ def serial_rows():
     return metrics(run_sweep(JOBS, workers=0).raise_on_failure())
 
 
-def _failing_batch(*args, **kwargs):
-    raise RuntimeError("injected batch failure")
+def _failing_batch(*args, seeds, **kwargs):
+    """A lane batch fails; the one-seed tasks it is re-run as do not."""
+    if len(seeds) > 1:
+        raise RuntimeError("injected batch failure")
+    return run_technique_batch(*args, seeds=seeds, **kwargs)
 
 
 @pytest.mark.parametrize("workers", [0, 2])
@@ -52,3 +57,33 @@ def test_pooled_lane_batches_match_serial_rows(tmp_path, serial_rows):
     assert metrics(out) == serial_rows
     # One batch, one pass: its wall time is split evenly over its jobs.
     assert len({r.wall_time_s for r in out.records}) == 1
+
+
+def test_a_sanitized_lane_sweep_runs_each_batch_once(monkeypatch,
+                                                     serial_rows):
+    """With ``REPRO_SIM_SANITIZE`` set, every batch runs seed by seed
+    instead of raising and being re-run job by job."""
+    monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
+    batches = []
+
+    def recorded(*args, seeds, **kwargs):
+        batches.append(list(seeds))
+        return run_technique_batch(*args, seeds=seeds, **kwargs)
+
+    monkeypatch.setattr(runner, "run_technique_batch", recorded)
+    out = run_sweep(JOBS, workers=0, lanes=2, retries=0).raise_on_failure()
+    assert batches == [[7, 11], [13]]
+    assert [r.result.data_plane for r in out.records] == ["scalar"] * 3
+    assert metrics(out) == serial_rows
+
+
+def test_unsimulated_jobs_batch_into_static_rows():
+    """``simulate`` is part of the batch key: jobs that skip simulation
+    share one preparation and get one zero-cycle row each."""
+    jobs = build_matrix(kernels=["gsumif"], techniques=["crush"],
+                        scale="small", seeds=(7, 11, 13), simulate=False)
+    out = run_sweep(jobs, workers=0, lanes=3).raise_on_failure()
+    rows = [r.result for r in out.records]
+    assert [(r.seed, r.cycles, r.sim_backend) for r in rows] == \
+        [(7, 0, ""), (11, 0, ""), (13, 0, "")]
+    assert out.shared_preparations == 0  # one task, prepared once

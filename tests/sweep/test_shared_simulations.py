@@ -2,10 +2,11 @@
 
 Rows whose prepared circuits, inputs and simulation settings are
 identical share one verified run (``repro.pipeline.shared_simulations``,
-keyed by ``DataflowCircuit.fingerprint``).  Sharing must never change a
-row, and must never happen where a run's identity is wider than the key:
-outside a sweep, under the sanitizer, after a failure, across cycle
-budgets or backends, or for a circuit with no fingerprint.
+keyed by ``DataflowCircuit.fingerprint`` and the seed), one-seed rows
+and lane batches alike.  Sharing must never change a row, and must never
+happen where a run's identity is wider than the key: outside a sweep,
+under the sanitizer, after a failure, across cycle budgets or backends,
+or for a circuit with no fingerprint.
 """
 
 import copy
@@ -13,6 +14,7 @@ import io
 
 import pytest
 
+import repro.frontend.runner as runner
 import repro.pipeline as pipeline
 from repro.circuit.channel import PortRef
 from repro.circuit.units import (
@@ -24,7 +26,12 @@ from repro.circuit.units import (
     Sequence,
 )
 from repro.circuit.units.functional import op_spec
-from repro.pipeline import prepare_circuit, run_technique, shared_simulations
+from repro.pipeline import (
+    prepare_circuit,
+    run_technique,
+    run_technique_batch,
+    shared_simulations,
+)
 from repro.sim import DEFAULT_BACKEND
 from repro.sweep import (
     ProgressReporter,
@@ -38,15 +45,15 @@ from repro.sweep import (
 
 @pytest.fixture
 def sim_calls(monkeypatch):
-    """Count the simulations ``run_technique`` actually runs."""
+    """Count the seeds the pipeline actually simulates."""
     calls = []
-    real = pipeline.simulate_kernel
+    real = pipeline.simulate_kernel_batch
 
-    def counted(lowered, **kwargs):
-        calls.append(lowered.kernel.name)
-        return real(lowered, **kwargs)
+    def counted(lowered, seeds, **kwargs):
+        calls.extend((lowered.kernel.name, seed) for seed in seeds)
+        return real(lowered, seeds, **kwargs)
 
-    monkeypatch.setattr(pipeline, "simulate_kernel", counted)
+    monkeypatch.setattr(pipeline, "simulate_kernel_batch", counted)
     return calls
 
 
@@ -74,6 +81,44 @@ def test_serial_sweep_simulates_each_distinct_circuit_once(sim_calls):
         assert record.result.deterministic_metrics() == \
             alone.deterministic_metrics(), job.label()
         assert record.result.sim_backend == alone.sim_backend
+
+
+def test_a_lane_sweep_shares_simulations_like_a_scalar_sweep(sim_calls):
+    jobs = build_matrix(kernels=("atax", "histogram"), scale="small",
+                        seeds=(7, 11))
+    scalar = run_sweep(jobs, workers=0).raise_on_failure()
+    del sim_calls[:]
+    laned = run_sweep(jobs, workers=0, lanes=2).raise_on_failure()
+    # histogram: one circuit for all three techniques; atax: In-order and
+    # CRUSH build the same circuit.  Two seeds each.
+    assert scalar.shared_simulations == laned.shared_simulations == 6
+    assert sorted(sim_calls) == sorted(
+        (kernel, seed) for kernel in ("atax", "atax", "histogram")
+        for seed in (7, 11))
+
+    for record in laned.records:
+        job = record.job
+        alone = run_technique(job.kernel, job.technique, scale="small",
+                              seed=job.seed)
+        assert record.result.deterministic_metrics() == \
+            alone.deterministic_metrics(), job.label()
+    assert [r.result.deterministic_metrics() for r in laned.records] == \
+        [r.result.deterministic_metrics() for r in scalar.records]
+
+
+def test_a_batch_simulates_only_the_seeds_the_memo_lacks(sim_calls):
+    with shared_simulations() as memo:
+        run_technique_batch("histogram", "naive", [7, 11], scale="small")
+        del sim_calls[:]
+        rows = run_technique_batch("histogram", "inorder", [11, 13, 7],
+                                   scale="small")
+    assert sim_calls == [("histogram", 13)]
+    assert memo.shared == 2
+    alone = [run_technique("histogram", "inorder", scale="small", seed=s)
+             for s in (11, 13, 7)]
+    assert [r.deterministic_metrics() for r in rows] == \
+        [a.deterministic_metrics() for a in alone]
+    assert [r.seed for r in rows] == [11, 13, 7]
 
 
 def test_the_memo_keys_the_resolved_backend(sim_calls):
@@ -131,17 +176,45 @@ def test_sanitized_runs_stay_out_of_the_memo(sim_calls):
     assert memo.shared == 0 and not memo.runs
 
 
+@pytest.mark.parametrize("armed_by", ["argument", "variable"])
+def test_a_sanitized_batch_runs_seed_by_seed_outside_the_memo(
+        monkeypatch, armed_by):
+    plain = run_technique_batch("atax", "crush", [7, 11], scale="small")
+    engines = []
+    real = runner.create_engine
+
+    def recorded(*args, **kwargs):
+        engines.append(real(*args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(runner, "create_engine", recorded)
+    sanitize = True
+    if armed_by == "variable":
+        monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
+        sanitize = None
+    with shared_simulations() as memo:
+        rows = [run_technique_batch("atax", t, [7, 11], scale="small",
+                                    sanitize=sanitize)
+                for t in ("crush", "inorder")]  # twins: one circuit
+    assert len(engines) == 4
+    assert all(e.sanitizer.cycles_checked > 0 for e in engines)
+    assert memo.shared == 0 and not memo.runs
+    for twin in rows:
+        assert [r.data_plane for r in twin] == ["scalar", "scalar"]
+        assert [r.cycles for r in twin] == [r.cycles for r in plain]
+
+
 def test_a_failed_run_is_not_stored(monkeypatch):
-    real = pipeline.simulate_kernel
+    real = pipeline.simulate_kernel_batch
     calls = []
 
-    def flaky(lowered, **kwargs):
+    def flaky(lowered, seeds, **kwargs):
         calls.append(lowered.kernel.name)
         if len(calls) == 1:
             raise RuntimeError("injected simulation failure")
-        return real(lowered, **kwargs)
+        return real(lowered, seeds, **kwargs)
 
-    monkeypatch.setattr(pipeline, "simulate_kernel", flaky)
+    monkeypatch.setattr(pipeline, "simulate_kernel_batch", flaky)
     outcome = run_sweep(histogram_jobs("naive", "inorder"), workers=0,
                         retries=0)
     failed, ok = outcome.records

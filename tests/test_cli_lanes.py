@@ -1,5 +1,7 @@
 """``--lanes`` is only a width: width 1 and the event backend run seed
-by seed in both ``repro run`` and ``repro sweep``."""
+by seed in both ``repro run`` and ``repro sweep``, and so does a run
+with the sanitizer armed, whether ``--sanitize`` or
+``REPRO_SIM_SANITIZE`` armed it."""
 
 import csv
 
@@ -62,15 +64,36 @@ def test_lanes_must_be_positive(capsys):
     assert main(["sweep", "--kernel", "gsumif", "--lanes", "0"]) == 2
 
 
-def test_run_sanitizes_several_seeds_seed_by_seed(capsys):
-    assert main(["run", "atax", "crush", "--scale", "small",
-                 "--seeds", "7,8", "--sanitize"]) == 0
+def test_run_refuses_sanitize_with_lane_batches(capsys, monkeypatch):
+    argv = ["run", "atax", "crush", "--scale", "small", "--seeds", "7,8",
+            "--lanes", "2"]
+    assert main(argv + ["--sanitize"]) == 2
+    assert "--lanes 1" in capsys.readouterr().err
+    # The variable arms the same sanitizer, so it gets the same answer.
+    monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
+    assert main(argv) == 2
+    assert "--lanes 1" in capsys.readouterr().err
+
+
+@pytest.fixture(params=["flag", "variable"])
+def sanitizer_argv(request, monkeypatch):
+    """The ``repro run`` arguments that arm the sanitizer, one way or the
+    other."""
+    if request.param == "flag":
+        return ["--sanitize"]
+    monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
+    return []
+
+
+@pytest.mark.parametrize("extra", [
+    [], ["--lanes", "1"], ["--sim-backend", "event"],
+], ids=["alone", "lanes-1", "event"])
+def test_run_sanitizes_several_seeds_seed_by_seed(capsys, sanitizer_argv,
+                                                 extra):
+    assert main(["run", "gsumif", "crush", "--scale", "small",
+                 "--seeds", "7,11"] + sanitizer_argv + extra) == 0
     out = capsys.readouterr().out
     assert out.count("(verified against reference)") == 2
     assert "execution   : seed by seed" in out
-
-
-def test_run_refuses_sanitize_with_lane_batches(capsys):
-    assert main(["run", "atax", "crush", "--scale", "small",
-                 "--seeds", "7,8", "--sanitize", "--lanes", "2"]) == 2
-    assert "--lanes 1" in capsys.readouterr().err
+    assert "seed 7     : 361 cycles" in out
+    assert "seed 11    : 360 cycles" in out

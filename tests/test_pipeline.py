@@ -48,6 +48,20 @@ class TestRunTechnique:
         assert row.exec_time_us == 0
         assert row.dsp == 5
 
+    def test_an_unsimulated_batch_gives_one_static_row_per_seed(self):
+        simulated = run_technique("gsumif", "crush", scale="small")
+        rows = run_technique_batch("gsumif", "crush", [7, 11],
+                                   scale="small", simulate=False)
+        assert [r.seed for r in rows] == [7, 11]
+        static = ("fu_census", "dsp", "slices", "lut", "ff", "cp_ns",
+                  "groups", "predicted_ii", "mem_class", "lint_errors",
+                  "lint_warnings", "flow_diags", "memdep_diags")
+        for row in rows:
+            assert (row.cycles, row.exec_time_us, row.sim_backend) == \
+                (0, 0, "")
+            assert [getattr(row, f) for f in static] == \
+                [getattr(simulated, f) for f in static]
+
     def test_only_simulated_rows_record_a_backend(self):
         from repro.sim import DEFAULT_BACKEND
 
