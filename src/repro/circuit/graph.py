@@ -240,42 +240,47 @@ class DataflowCircuit:
         del self.units[unit.name]
 
     # ------------------------------------------------------------- validation
-    def validate(self) -> None:
-        """Check that every port of every unit is connected exactly once."""
-        problems = []
+    def port_problems(self) -> List[Tuple[str, Optional[str], Optional[str]]]:
+        """``(message, unit, channel)`` for every port not connected
+        exactly once: an undriven input, an unconsumed output, or a
+        channel naming a unit the circuit lacks (then ``unit`` is None and
+        ``channel`` is its label)."""
+        problems: List[Tuple[str, Optional[str], Optional[str]]] = []
         for u in self.units.values():
             for i in range(u.n_in):
                 if (u.name, i) not in self._in_map:
-                    problems.append(
-                        f"{u.describe()} input {u.in_port_name(i)!r} undriven"
-                    )
+                    problems.append((
+                        f"{u.describe()}: input port {i} "
+                        f"({u.in_port_name(i)!r}) is undriven",
+                        u.name, None,
+                    ))
             for i in range(u.n_out):
                 if (u.name, i) not in self._out_map:
-                    problems.append(
-                        f"{u.describe()} output {u.out_port_name(i)!r} unconsumed"
-                    )
+                    problems.append((
+                        f"{u.describe()}: output port {i} "
+                        f"({u.out_port_name(i)!r}) is unconsumed",
+                        u.name, None,
+                    ))
         for ch in self.channels:
-            if ch.src.unit not in self.units or ch.dst.unit not in self.units:
-                problems.append(f"channel {ch.label()} references missing unit")
+            for end, nm in (("source", ch.src.unit),
+                            ("destination", ch.dst.unit)):
+                if nm not in self.units:
+                    problems.append((
+                        f"channel {ch.label()} references missing {end} "
+                        f"unit {nm!r}",
+                        None, ch.label(),
+                    ))
+        return problems
+
+    def validate(self) -> None:
+        """Raise :class:`CircuitError` listing :meth:`port_problems`."""
+        problems = [message for message, _, _ in self.port_problems()]
         if problems:
             raise CircuitError(
                 f"circuit {self.name!r} is malformed:\n  " + "\n  ".join(problems)
             )
 
     # ------------------------------------------------------------- graph view
-    def unit_graph(self):
-        """Return the circuit as a ``networkx.MultiDiGraph`` over unit names.
-
-        Edge data carries the :class:`Channel` under key ``"channel"``.
-        """
-        import networkx as nx
-
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(self.units)
-        for ch in self.channels:
-            g.add_edge(ch.src.unit, ch.dst.unit, channel=ch)
-        return g
-
     def fingerprint(self) -> Optional[str]:
         """SHA-256 hex digest of everything a simulation of this circuit
         can read, or ``None`` when some attribute has no canonical form.

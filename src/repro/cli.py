@@ -288,6 +288,7 @@ def _golden_expected_ii(golden_dir, kernel: str, technique: str):
 def _cmd_lint(args) -> int:
     import json as _json
 
+    from .errors import LintError
     from .frontend.kernels import KERNEL_NAMES
     from .lint import EXIT_CLEAN, LintConfig, sarif_json
     from .pipeline import (
@@ -298,6 +299,11 @@ def _cmd_lint(args) -> int:
     )
 
     config = LintConfig.from_specs(args.rule or [])
+    try:
+        config.rules()
+    except LintError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     fmt = "json" if args.json else args.format
     if args.all:
         targets = [(k, t) for k in KERNEL_NAMES for t in TECHNIQUES]

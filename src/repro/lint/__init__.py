@@ -2,8 +2,10 @@
 
 Checks a :class:`~repro.circuit.DataflowCircuit` — and, when available,
 the sharing decisions that produced it — *without simulating*: the
-credit-system invariants of the paper (Eq. 1, Algorithm 1, Algorithm 2)
-as ``CR0xx`` rules and structural well-formedness as ``ST0xx`` rules.
+decision records (Eq. 1, Algorithm 1, Algorithm 2) as ``CR0xx`` rules,
+structural well-formedness as ``ST0xx``, whole-circuit token flow (Eq. 1
+on the built wrappers, marked-graph liveness, Eq. 3) as ``FL0xx`` and
+memory dependence as ``MD0xx``; each invariant has one owning rule.
 The runtime handshake sanitizer (:mod:`repro.sim.sanitize`) reports
 through the same :class:`Diagnostic` type with ``SAN0xx`` codes.
 

@@ -118,6 +118,28 @@ class LintConfig:
                 )
         return cls(disabled=disabled, severities=severities)
 
+    def rules(self) -> List[LintRule]:
+        """Every registered rule, by code.  Raises :class:`LintError`
+        when this config names a code no rule registered, listing the
+        codes that exist."""
+        # Imported here, not at package import time: the structural rules
+        # pull in repro.sim.signal_graph while repro.sim's sanitizer pulls
+        # in this package's diagnostics.
+        from . import (  # noqa: F401
+            rules_credit,
+            rules_flow,
+            rules_memdep,
+            rules_structural,
+        )
+
+        unknown = sorted((self.disabled | set(self.severities)) - set(RULES))
+        if unknown:
+            raise LintError(
+                f"unknown lint rule code(s) {', '.join(unknown)}; the "
+                f"registered codes are {', '.join(sorted(RULES))}"
+            )
+        return [RULES[code] for code in sorted(RULES)]
+
     def severity_of(self, r: LintRule) -> Optional[str]:
         """Effective severity for ``r``, or None when disabled."""
         if r.code in self.disabled:
@@ -241,26 +263,18 @@ def run_lint(
     class reads ``report.context.flow`` / ``.memdep`` instead of
     re-running them.  Internal rule faults are re-raised as
     :class:`~repro.errors.LintError` — a rule never fails silently and
-    never trips a bare assert.
+    never trips a bare assert — and so is a config naming an unknown
+    rule code.
     """
-    # Imported here, not at package import time: the structural rules pull
-    # in repro.sim.signal_graph while repro.sim's sanitizer pulls in this
-    # package's diagnostics.
-    from . import (  # noqa: F401
-        rules_credit,
-        rules_flow,
-        rules_memdep,
-        rules_structural,
-    )
-
     config = config or LintConfig()
+    rules = config.rules()
     ctx = LintContext(
         circuit, decisions=decisions, cfcs=cfcs, expected_ii=expected_ii,
         kernel=kernel,
     )
     report = LintReport(circuit=circuit.name, context=ctx)
-    for code in sorted(RULES):
-        r = RULES[code]
+    for r in rules:
+        code = r.code
         severity = config.severity_of(r)
         if severity is None:
             continue

@@ -1,24 +1,21 @@
-"""Credit-system lint rules (``CR0xx``): the paper's sharing invariants,
-checked statically on the built circuit plus the pass' decision records.
+"""Credit-system lint rules (``CR0xx``): the sharing pass' decision
+records audited against the circuit built from them.
 
 =======  ==================================================================
-CR001    credit overcommit: a sharing slot's credits exceed its output
-         buffer (Eq. 1, N_CC <= N_OB), or no credit counter bounds the
-         slot's in-flight results at all (naive sharing)
+CR001    credit decision: a decided N_CC exceeds its decided N_OB (Eq. 1),
+         or a built counter or output buffer drifted from the decision
 CR002    access priority violates Algorithm 2: a consumer outranks its
          producer across an SCC-condensation edge
 CR003    sharing group violates Algorithm 1's R1/R2/R3 merge rules
 =======  ==================================================================
 
-The ``CR`` rules lean on two sources, cross-checked against each other:
-
-* the **live circuit** — wrapper units carry ``meta["wrapper"]`` tags and
-  deterministic names (``<tag>ob<i>``, ``<tag>cc<i>``, ...), so Eq. 1 is
-  checkable even with no decision record at hand;
-* the **decision records** (:class:`~repro.core.crush.CrushResult` /
-  :class:`~repro.baselines.inorder.InOrderResult`) — Algorithm 2's
-  must-precede pairs and rule R2's group load are captured at decision
-  time, *before* the rewrite removes the grouped units.
+The decision records (:class:`~repro.core.crush.CrushResult` /
+:class:`~repro.baselines.inorder.InOrderResult`) hold what only decision
+time knows: the credits and output-buffer slots the pass chose,
+Algorithm 2's must-precede pairs and rule R2's group load, captured
+*before* the rewrite removes the grouped units.  Eq. 1 and the
+uncredited (naive) slot on the built wrapper units are ``FL002``'s, which
+needs no record.
 """
 
 from __future__ import annotations
@@ -39,17 +36,6 @@ from .registry import LintContext, rule
 Emit = Callable[..., None]
 
 
-def _wrapper_tags(circuit: DataflowCircuit) -> List[str]:
-    """All sharing-wrapper tags present in the circuit, sorted."""
-    return sorted(
-        {
-            u.meta["wrapper"]
-            for u in circuit.units.values()
-            if "wrapper" in u.meta
-        }
-    )
-
-
 def _decided_wrappers(ctx: LintContext) -> List[Any]:
     """The decision record's wrapper list, when one exists."""
     return list(getattr(ctx.decisions, "wrappers", None) or [])
@@ -66,35 +52,10 @@ def check_credit_overcommit(ctx: LintContext, emit: Emit) -> None:
     """Eq. 1: deadlock freedom needs ``N_CC,i <= N_OB,i`` for every
     operation sharing a unit — every granted credit must have a
     reserved output-buffer slot, so a result can always drain out of
-    the shared unit.  A slot with an output buffer but *no* credit
-    counter has unbounded in-flight results (the naive wrapper), which
-    is the paper's motivating deadlock."""
-    c = ctx.circuit
-    # Structural walk: the live circuit is the source of truth.
-    for tag in _wrapper_tags(c):
-        i = 0
-        while True:
-            ob = c.units.get(f"{tag}ob{i}")
-            if not isinstance(ob, TransparentFifo):
-                break
-            cc = c.units.get(f"{tag}cc{i}")
-            if not isinstance(cc, CreditCounter):
-                emit(
-                    f"sharing wrapper {tag!r} slot {i}: no credit counter "
-                    f"bounds the in-flight results (output buffer "
-                    f"{ob.name!r} has {ob.slots} slot(s) but admission is "
-                    "unthrottled); Eq. 1 cannot hold",
-                    unit=ob.name,
-                )
-            elif cc.initial > ob.slots:
-                emit(
-                    f"sharing wrapper {tag!r} slot {i}: N_CC = "
-                    f"{cc.initial} credits exceed N_OB = {ob.slots} "
-                    f"output-buffer slot(s) ({cc.name!r} vs {ob.name!r}); "
-                    "Eq. 1 requires N_CC <= N_OB",
-                    unit=cc.name,
-                )
-            i += 1
+    the shared unit.  This rule audits the decision record: the decided
+    credits must fit the decided output buffer, and the built counter
+    and buffer must still hold the decided values.  Eq. 1 on the built
+    units themselves is ``FL002``'s."""
     # Decision-record drift: what the pass decided must match what was
     # built (a later transform resizing either side re-opens Eq. 1).
     for w in _decided_wrappers(ctx):

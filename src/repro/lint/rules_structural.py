@@ -11,8 +11,8 @@ ST002    width mismatch through width-preserving units
 ST003    implicit fan-out / fan-in (one port on several channels)
 ST004    unit unreachable from any token source
 ST005    combinational handshake cycle (no sequential element on the path)
-ST006    token-dead cycle: latency but no circulating tokens (structural
-         deadlock, paper Sec. 2.1's marked-graph view)
+ST006    retired: a token-dead cycle (latency, no circulating token) is
+         FL001's, checked on the whole slot-expanded circuit
 ST007    saturated cycle: circulating tokens >= total storage capacity on
          the cycle, so no transfer can ever fire (zero-capacity rings are
          the degenerate case)
@@ -35,7 +35,7 @@ from ..circuit import (
     TransparentFifo,
     Unit,
 )
-from ..errors import AnalysisError, SimulationError
+from ..errors import SimulationError
 from ..sim.signal_graph import find_combinational_cycle
 from .registry import LintContext, rule
 
@@ -55,29 +55,9 @@ MAX_CYCLES_PER_SCC = 5000
     paper="Sec. 2 (handshake circuit well-formedness)",
 )
 def check_dangling_ports(ctx: LintContext, emit: Emit) -> None:
-    """Non-raising version of ``DataflowCircuit.validate()``."""
-    c = ctx.circuit
-    for u in c.units.values():
-        for i in range(u.n_in):
-            if c.in_channel(u, i) is None:
-                emit(
-                    f"{u.describe()}: input port {i} is undriven",
-                    unit=u.name,
-                )
-        for i in range(u.n_out):
-            if c.out_channel(u, i) is None:
-                emit(
-                    f"{u.describe()}: output port {i} is unconsumed",
-                    unit=u.name,
-                )
-    for ch in c.channels:
-        for end, nm in (("source", ch.src.unit), ("destination", ch.dst.unit)):
-            if nm not in c.units:
-                emit(
-                    f"channel {ch.label()} references missing {end} "
-                    f"unit {nm!r}",
-                    channel=ch.label(),
-                )
+    """The problems ``DataflowCircuit.validate()`` raises, as findings."""
+    for message, unit, channel in ctx.circuit.port_problems():
+        emit(message, unit=unit, channel=channel)
 
 
 @rule(
@@ -210,24 +190,6 @@ def check_combinational_cycle(ctx: LintContext, emit: Emit) -> None:
         )
 
 
-@rule(
-    "ST006",
-    "token-dead-cycle",
-    severity="error",
-    summary="cycles with latency need circulating tokens",
-    paper="Sec. 2.1 (Eq. for II over marked cycles)",
-)
-def check_token_dead_cycles(ctx: LintContext, emit: Emit) -> None:
-    """A CFC cycle with latency but zero circulating tokens can never
-    fire — the marked-graph form of structural deadlock.  Delegates to the
-    II analysis' tokenless-cycle pre-check."""
-    for cfc in ctx.cfcs:
-        try:
-            cfc.ii()
-        except AnalysisError as exc:
-            emit(f"CFC {cfc.name!r}: {exc}")
-
-
 def _storage_capacity(u: Unit) -> int:
     """Tokens the unit can hold at a clock edge (its sequential depth)."""
     if isinstance(u, (ElasticBuffer, TransparentFifo)):
@@ -245,7 +207,7 @@ def saturated_cycles(
     """``(component, witness)`` for every strongly connected component of
     ``succ`` holding a cycle whose circulating tokens, one or more, reach
     its storage (``tokens(C) >= max(1, capacity(C))``); ``witness`` is one
-    such cycle, in edge order.  Tokenless cycles are ST005/ST006's.
+    such cycle, in edge order.  Tokenless cycles are ST005/FL001's.
 
     ``succ`` has every node as a key, ``tokens`` maps each of its edges to
     the tokens on it and ``capacity`` each node to its storage.  One
@@ -332,14 +294,14 @@ def _describe_saturated(
     capacity: Dict[str, int],
 ) -> List[Tuple[str, str]]:
     """``(message, anchor unit)`` per distinct token-carrying saturated
-    cycle of ``cycles``.  Tokenless ones are left to ST005/ST006."""
+    cycle of ``cycles``.  Tokenless ones are left to ST005/FL001."""
     found: List[Tuple[str, str]] = []
     reported: Set[Tuple[str, int, int]] = set()
     for cyc in cycles:
         pairs = list(zip(cyc, cyc[1:] + cyc[:1]))
         total = sum(tokens[p] for p in pairs)
         if total == 0:
-            continue  # ST005/ST006 territory
+            continue  # ST005/FL001 territory
         cap = sum(capacity[n] for n in cyc)
         if total >= cap:
             anchor = min(cyc)

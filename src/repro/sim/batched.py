@@ -212,7 +212,6 @@ class BatchedEngine:
         self.data = [zt if d is None else d for d in self.data]
         self._mstate = [mask_state(u, lb, full) for u in self._units]
         self._aflags[:] = b"\x01" * len(self._aflags)
-        self._quiet = False
         # Lanes already retired by a partial done-mask coast from the
         # start; everyone else is checked on first fire activity.
         self._live = full & ~self.done_mask

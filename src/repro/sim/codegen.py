@@ -60,11 +60,11 @@ elsewhere that changes no generated text keeps the cache warm.
 A :class:`~repro.sim.profile.SimProfile` selects the *profiled* source
 variant: every occurrence block counts its unit's evaluation, every
 clock-edge pass-1 block its unit's tick, and the main piece times the
-combinational, fire-scan and tick phases and counts cycles, fires and
-quiet cycles, flushing them into the profile when ``loop`` returns.  Its
-header names the variant, so its cache key differs from the unprofiled
-module's.  Circuits with non-catalogue units are refused; the event
-backend simulates them.
+combinational, fire-scan and tick phases and counts cycles and fires,
+flushing them into the profile when ``loop`` returns.  Its header names
+the variant, so its cache key differs from the unprofiled module's.
+Circuits with non-catalogue units are refused; the event backend
+simulates them.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def generate_pieces(circuit: DataflowCircuit,
     :class:`~repro.sim.profile.SimProfile`: ``EC[s] += 1`` in every
     occurrence block and ``TC[s] += 1`` in every pass-1 tick block (the
     profile's count lists, bound by :func:`link_loop`), and phase timers
-    and cycle/fire/quiet counters in the main piece, flushed into
+    and cycle/fire counters in the main piece, flushed into
     ``rt.profile`` on exit.  Unprofiled source is unchanged by it.
     """
     units = [circuit.units[n] for n in schedule.names]
@@ -533,13 +533,12 @@ def generate_pieces(circuit: DataflowCircuit,
     ]
     _calls(L, loads, P)
     L += [
-        P + "quiet = rt._quiet",
         P + "cycle = rt.cycle",
         P + "idle = rt._idle_cycles",
         P + "total_fires = rt.total_fires",
         P + "status = 0",
         P + "fires = 0",
-        *prof(P + "_c0, _f0, _nq = cycle, total_fires, 0",
+        *prof(P + "_c0, _f0 = cycle, total_fires",
               P + "_cs = _fs = _ts = 0.0"),
     ]
     if lanes:
@@ -554,17 +553,6 @@ def generate_pieces(circuit: DataflowCircuit,
         B + "        status = 3",
         B + "        break",
         B + "budget -= 1",
-        B + "if quiet:",
-        B + "    fires = 0",
-        *prof(B + "    _nq += 1"),
-        B + "    if san is not None:",
-        B + "        san.observe_quiet()",
-        B + "    cycle += 1",
-        B + "    idle += 1",
-        B + "    if done is not None and idle >= window:",
-        B + "        status = 2",
-        B + "        break",
-        B + "    continue",
         *prof(B + "_t0 = PC()"),
         B + "# combinational pass",
     ]
@@ -593,7 +581,6 @@ def generate_pieces(circuit: DataflowCircuit,
     L += [
         *prof(B + "_t3 = PC()",
               B + "_cs += _t1 - _t0; _fs += _t2 - _t1; _ts += _t3 - _t2"),
-        B + "quiet = 0 if (fires or ticked) else 1",
         B + "idle = 0 if progress else idle + 1",
         B + "cycle += 1",
         B + "if done is not None and idle >= window:",
@@ -616,11 +603,9 @@ def generate_pieces(circuit: DataflowCircuit,
         P + "rt.cycle = cycle",
         P + "rt._idle_cycles = idle",
         P + "rt.total_fires = total_fires",
-        P + "rt._quiet = quiet",
         *prof(P + "pr = rt.profile",
               P + "pr.cycles += cycle - _c0",
               P + "pr.fires += total_fires - _f0",
-              P + "pr.quiet_cycles += _nq",
               P + "pr.comb_s += _cs",
               P + "pr.fire_s += _fs",
               P + "pr.tick_s += _ts",
@@ -747,7 +732,6 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add(P + "VP = [0, 0, 0, 0, 0, 0, 0, 0]")
     add(P + "live = rt._live")
     add(P + "fa = rt._fa")
-    add(P + "quiet = rt._quiet")
     add(P + "cycle = rt.cycle")
     add(P + "idle = rt._idle_cycles")
     add(P + "total_fires = rt.total_fires")
@@ -773,14 +757,6 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add(B + "    status = 3")
     add(B + "    break")
     add(B + "budget -= 1")
-    add(B + "if quiet:")
-    add(B + "    fires = 0")
-    add(B + "    cycle += 1")
-    add(B + "    idle += 1")
-    add(B + "    if idle >= window:")
-    add(B + "        status = 2")
-    add(B + "        break")
-    add(B + "    continue")
 
     # -- combinational pass (mask blocks, same group structure) ------------
     add(B + "# combinational pass (mask mode)")
@@ -870,7 +846,6 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
             add(B + "    kany = "
                 + " | ".join(f"kc{s}" for s in carry_slots))
 
-    add(B + "quiet = 0 if (fires or ticked) else 1")
     add(B + "idle = 0 if progress else idle + 1")
     add(B + "cycle += 1")
     add(B + "if idle >= window:")
@@ -895,7 +870,6 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add(P + "rt.cycle = cycle")
     add(P + "rt._idle_cycles = idle")
     add(P + "rt.total_fires = total_fires")
-    add(P + "rt._quiet = quiet")
     add(P + "rt._live = live")
     add(P + "rt._fa = fa")
     add(P + "rt.done_mask = FULL & ~live")
@@ -1052,7 +1026,6 @@ def bind_loop_state(rt, circuit: DataflowCircuit, lanes: bool = False,
     rt._zeros = bytes(nch)
     rt._aflags = bytearray(b"\x01" * schedule.n_occ)
     rt._kflags = bytearray(schedule.n_units)
-    rt._quiet = False
     pieces = generate_pieces(circuit, schedule, lanes=lanes,
                              profiled=profiled)
     rt.codegen_key = source_key(pieces)

@@ -39,8 +39,6 @@ class SimProfile:
         self.wall_s: float = 0.0
         self.cycles: int = 0
         self.fires: int = 0
-        #: Cycles the codegen backend's quiet-cycle fast path skipped.
-        self.quiet_cycles: int = 0
 
     # Called once by the engine that adopts this profile.
     def bind(self, unit_names: List[str], backend: str) -> None:
@@ -81,8 +79,6 @@ class SimProfile:
             f"unit evals       {self.total_evals}"
             f"  ({self.evals_per_cycle:.1f}/cycle)",
         ]
-        if self.quiet_cycles:
-            lines.append(f"quiet cycles     {self.quiet_cycles} (fast path)")
         lines.append(f"wall time        {self.wall_s * 1e3:.1f} ms")
         if self.wall_s > 0:
             lines.append(f"throughput       {self.cycles_per_sec:,.0f} cycles/s")
@@ -112,7 +108,6 @@ class SimProfile:
             "fires": self.fires,
             "total_evals": self.total_evals,
             "evals_per_cycle": self.evals_per_cycle,
-            "quiet_cycles": self.quiet_cycles,
             "wall_s": self.wall_s,
             "comb_s": self.comb_s,
             "fire_s": self.fire_s,

@@ -86,8 +86,7 @@ class HandshakeSanitizer:
     """Per-cycle latency-insensitive contract checker for one circuit.
 
     The engine calls :meth:`observe` once per simulated cycle at the
-    combinational fixpoint (fired flags set, ticks not yet applied), or
-    :meth:`observe_quiet` on provably-unchanged cycles, then
+    combinational fixpoint (fired flags set, ticks not yet applied), then
     :meth:`finish` once at the end of the run.
     """
 
@@ -330,11 +329,6 @@ class HandshakeSanitizer:
                     "token (token duplicated)",
                     unit=name, cid=cin, cycle=cycle,
                 )
-        self.cycles_checked += 1
-
-    def observe_quiet(self) -> None:
-        """Account for a provably-unchanged cycle (no signal changed, so
-        no new violation is possible)."""
         self.cycles_checked += 1
 
     # -------------------------------------------------------------- finishing

@@ -37,9 +37,8 @@ loop are interpretive overhead.  This module derives the order **once**:
     signals depending on it (always *later* in the schedule — the pass
     never loops), and a ticked unit recomputes its driven signals at the
     clock edge with the same change detection.  A cycle in which nothing
-    fired and nothing ticked leaves no activations: the circuit state
-    provably cannot change any more, and the quiet-cycle fast path skips
-    the whole hot loop.
+    fired and nothing ticked leaves no activations, so every later cycle
+    evaluates no unit until the run stops.
 
 :class:`~repro.sim.codegen.CodegenEngine` emits the schedule as
 specialized source (:func:`compile_schedule` is its input).

@@ -24,9 +24,6 @@ from .job import (
     STYLES,
     SweepJob,
     build_matrix,
-    dedupe,
-    table2_matrix,
-    table3_matrix,
 )
 from .report import (
     CSV_HEADERS,
@@ -63,7 +60,6 @@ __all__ = [
     "build_matrix",
     "cache_key",
     "code_salt",
-    "dedupe",
     "default_cache_dir",
     "execute_jobs",
     "load_outcome",
@@ -71,7 +67,5 @@ __all__ = [
     "record_csv_row",
     "run_sweep",
     "summarize",
-    "table2_matrix",
-    "table3_matrix",
     "write_outputs",
 ]

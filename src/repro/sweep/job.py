@@ -10,7 +10,7 @@ of kernels/techniques/styles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from ..frontend.kernels import KERNEL_NAMES
@@ -150,24 +150,3 @@ def build_matrix(
         for s in styles
         for seed in seeds
     ]
-
-
-def table2_matrix(scale: str = "paper") -> List[SweepJob]:
-    """The Table 2 matrix: all kernels × all techniques, BB style."""
-    return build_matrix(styles=("bb",), scale=scale)
-
-
-def table3_matrix(scale: str = "paper") -> List[SweepJob]:
-    """The Table 3 matrix: all kernels × all techniques, fast-token style."""
-    return build_matrix(styles=("fast-token",), scale=scale)
-
-
-def dedupe(jobs: Iterable[SweepJob]) -> List[SweepJob]:
-    """Drop duplicate jobs, keeping first-seen order."""
-    seen = set()
-    out: List[SweepJob] = []
-    for job in jobs:
-        if job not in seen:
-            seen.add(job)
-            out.append(job)
-    return out

@@ -20,9 +20,10 @@ count or completion order:
   prepared circuits, inputs and simulation settings are identical share
   one verified run, in one-job tasks and lane batches alike; a pooled
   sweep forks a child per task and shares nothing;
-* each child is subject to a per-task wall-clock ``timeout``; a failing
-  batch re-queues its jobs as one-job tasks, and each failing one-job
-  task is retried ``retries`` times before its failure is recorded.
+* each child gets ``timeout`` seconds of wall clock per job of its task;
+  a failing batch re-queues its jobs as one-job tasks, and each failing
+  one-job task is retried ``retries`` times before its failure is
+  recorded.
 
 Child processes prefer the ``fork`` start method (cheap on Linux, and
 lets tests inject worker functions that need not survive pickling);
@@ -221,7 +222,8 @@ def run_sweep(
     identically either way.  A failing batch is retried job by job (full
     ``retries`` budget), so failure isolation is no coarser than without
     lanes.  Per-job ``wall_time_s`` of a batch is the batch's wall clock
-    divided evenly over its jobs: they shared one pass.
+    divided evenly over its jobs: they shared one pass.  ``timeout`` is
+    per job, so a batch of ``B`` jobs has ``B * timeout`` seconds.
     """
     if workers < 0:
         raise ReproError(
@@ -469,7 +471,8 @@ def _run_pool(
         now = time.perf_counter()
         return _Running(
             task=task, process=proc, conn=parent_conn, started=now,
-            deadline=(now + timeout) if timeout is not None else None,
+            deadline=(now + timeout * len(task))
+            if timeout is not None else None,
             attempt=attempt, spent=spent,
         )
 

@@ -159,13 +159,6 @@ class TestViews:
         assert stats["FunctionalUnit"] == 1
         assert stats["_units"] == 3
 
-    def test_unit_graph_roundtrip(self):
-        c, src, sink = two_unit_circuit()
-        c.connect(src, 0, sink, 0)
-        g = c.unit_graph()
-        assert g.has_edge("src", "sink")
-        assert set(g.nodes) == {"src", "sink"}
-
 
 # --------------------------------------------------------------------------
 # clone: every small configuration's prepared circuit

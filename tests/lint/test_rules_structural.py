@@ -1,4 +1,5 @@
-"""Mutation tests for the structural lint rules (ST001..ST007).
+"""Mutation tests for the structural lint rules (ST001..ST007; ST006 is
+retired, its token-dead cycle is FL001's).
 
 Each test builds a small circuit, breaks exactly one structural
 invariant, and asserts the rule fires under its stable code.  Other
@@ -161,19 +162,20 @@ def test_st005_removing_the_buffer_introduces_the_cycle():
 
 
 def test_st006_token_dead_cycle():
+    # ST006 is retired: the token-dead cycle is FL001's, which names it.
     c = DataflowCircuit("dead")
     fu = c.add(FunctionalUnit("m", "fmul", latency_override=3,
                               const_ops={1: 2.0}))
     eb = c.add(ElasticBuffer("eb", slots=2))
     c.connect(fu, 0, eb, 0)
     c.connect(eb, 0, fu, 0)  # latency on the cycle, zero tokens
-    cfc = CFC("loop", c, {"m", "eb"})
-    rep = run_lint(c, cfcs=[cfc])
-    assert "ST006" in rep.codes()
+    rep = run_lint(c, cfcs=[CFC("loop", c, {"m", "eb"})])
+    assert [d.code for d in rep.errors] == ["FL001"]
+    assert "m -> eb -> m" in rep.errors[0].message
     # Marking one circulating token revives the cycle.
     c.channels[-1].attrs["tokens"] = 1
     rep2 = run_lint(c, cfcs=[CFC("loop", c, {"m", "eb"})])
-    assert "ST006" not in rep2.codes()
+    assert not rep2.errors and "FL001" not in rep2.codes()
 
 
 def test_st007_saturated_ring():

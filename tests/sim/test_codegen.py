@@ -499,15 +499,14 @@ def test_profile_hot_units_ranked():
 
 
 def test_profiled_loop_counts_quiet_cycles():
-    # Past the last token nothing fires or ticks: those cycles take the
-    # quiet fast path, and the profile counts them with every other.
+    # Past the last token nothing fires or ticks; the profile counts
+    # those cycles with every other.
     prof = SimProfile()
     engine = create_engine(_streaming_circuit(4), backend="codegen",
                            profile=prof)
     fires = engine.run_cycles(200) + engine.step()
     assert prof.cycles == engine.cycle == 201
     assert prof.fires == fires == engine.total_fires
-    assert 0 < prof.quiet_cycles < prof.cycles
 
 
 @pytest.mark.parametrize("kernel", ["gsum", "gsumif"])

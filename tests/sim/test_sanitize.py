@@ -63,9 +63,8 @@ class TestObserve:
         # Fired transfers release the persistence obligation.
         san.observe(0, [1, 0], [1, 0], [5.0, None], [1, 0])
         san.observe(1, [0, 1], [0, 1], [None, 5.0], [0, 1])
-        san.observe_quiet()
         assert san.ok
-        assert san.cycles_checked == 3
+        assert san.cycles_checked == 2
         san.raise_if_violations()  # no-op when clean
 
     def test_merge_outputs_are_exempt_from_hold(self):

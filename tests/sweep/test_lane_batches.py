@@ -7,11 +7,13 @@ produce the same rows as the serial one, and a sanitized sweep runs its
 batches seed by seed.
 """
 
+import time
+
 import pytest
 
 import repro.sweep.runner as runner
 from repro.pipeline import run_technique_batch
-from repro.sweep import ResultCache, build_matrix, run_sweep
+from repro.sweep import ResultCache, build_matrix, execute_jobs, run_sweep
 
 # gsumif's data-dependent branch makes distinct seeds diverge, so the
 # batch runs the mask loop.
@@ -87,3 +89,20 @@ def test_unsimulated_jobs_batch_into_static_rows():
     assert [(r.seed, r.cycles, r.sim_backend) for r in rows] == \
         [(7, 0, ""), (11, 0, ""), (13, 0, "")]
     assert out.shared_preparations == 0  # one task, prepared once
+
+
+def _slow_worker(jobs):
+    """One second per job: a three-job batch outlives one job's timeout
+    but not three."""
+    time.sleep(1.0 * len(jobs))
+    return execute_jobs(jobs)
+
+
+def test_timeout_is_per_job_for_a_lane_batch():
+    jobs = build_matrix(kernels=["gsum"], techniques=["crush"],
+                        scale="small", seeds=(7, 11, 13))
+    out = run_sweep(jobs, workers=1, lanes=3, timeout=2.0, retries=0,
+                    worker_fn=_slow_worker).raise_on_failure()
+    # The batch got 3 x 2 s and finished: one pass, no one-job re-runs.
+    assert [r.result.data_plane for r in out.records] == ["tuple"] * 3
+    assert len({r.wall_time_s for r in out.records}) == 1
