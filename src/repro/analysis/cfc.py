@@ -46,14 +46,15 @@ class CFC:
 
     def weighted_edges(self) -> List[WeightedEdge]:
         """Edges for the II analysis: latency from the producing unit,
-        circulating tokens from channel annotations (backedges, credits)."""
+        circulating tokens from ``DataflowCircuit.channel_tokens``
+        (backedge annotations, credit counters' initial credits)."""
         units = self.circuit.units
         return [
             WeightedEdge(
                 ch.src.unit,
                 ch.dst.unit,
                 units[ch.src.unit].latency,
-                int(ch.attrs.get("tokens", 0)),
+                self.circuit.channel_tokens(ch),
             )
             for ch in self.internal_channels()
         ]

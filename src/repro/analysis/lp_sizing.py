@@ -40,7 +40,8 @@ def slack_lp(cfc: CFC) -> Dict[int, float]:
     from scipy.optimize import linprog
 
     channels = [
-        ch for ch in cfc.internal_channels() if not ch.attrs.get("tokens", 0)
+        ch for ch in cfc.internal_channels()
+        if not cfc.circuit.channel_tokens(ch)
     ]
     units = sorted(cfc.unit_names)
     uidx = {n: i for i, n in enumerate(units)}

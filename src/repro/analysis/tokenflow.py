@@ -7,10 +7,11 @@ module *proves* both claims on a built circuit without simulating:
 
 **Liveness** — the buffered handshake graph is abstracted into a marked
 graph whose tokens are the loop-schema backedge annotations and the
-credit counters' initial credits.  Each SCC of that graph is checked
-separately (no cycle crosses SCC boundaries): a cycle that carries
-latency but no token can never fire — a structural deadlock — and the
-analysis reports the exact starved cycle.
+credit counters' initial credits (a grant edge carries its counter's
+``initial``, the one place a credit count is stored).  Each SCC of that
+graph is checked separately (no cycle crosses SCC boundaries): a cycle
+that carries latency but no token can never fire — a structural
+deadlock — and the analysis reports the exact starved cycle.
 
 **Throughput** — per performance-critical CFC, the max-cycle-ratio
 solver (:mod:`repro.analysis.throughput`) runs over the same expanded
@@ -42,12 +43,11 @@ import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     FrozenSet,
-    Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -69,12 +69,15 @@ from ..errors import AnalysisError
 from .cfc import CFC, critical_cfcs
 from .scc import scc_partition
 from .throughput import (
-    IIResult,
     WeightedEdge,
     cycle_metrics,
     find_tokenless_cycle,
     max_cycle_ratio,
 )
+
+if TYPE_CHECKING:
+    from ..core.crush import SharingResult
+    from ..core.wrapper import SharingWrapper
 
 #: Passthrough-contraction hop budget; wrapper splices are 1–2 buffers deep.
 MAX_CONTRACTION_HOPS = 20
@@ -130,7 +133,9 @@ class WrapperView:
         return self.op_name(i) or f"{self.base}slot{i}"
 
 
-def _view_from_record(circuit: DataflowCircuit, rec: Any) -> Optional[WrapperView]:
+def _view_from_record(
+    circuit: DataflowCircuit, rec: "SharingWrapper"
+) -> Optional[WrapperView]:
     """Build a view from one ``SharingWrapper`` decision record."""
     names = [rec.shared_unit, rec.arbiter, rec.cond_buffer, rec.branch]
     names += list(rec.joins) + list(rec.output_buffers)
@@ -192,7 +197,7 @@ def _view_from_tag(circuit: DataflowCircuit, tag: str) -> Optional[WrapperView]:
 
 
 def wrapper_views(
-    circuit: DataflowCircuit, decisions: Any = None
+    circuit: DataflowCircuit, decisions: "Optional[SharingResult]" = None
 ) -> List[WrapperView]:
     """All sharing wrappers of ``circuit``, as uniform views.
 
@@ -204,7 +209,7 @@ def wrapper_views(
     """
     views: List[WrapperView] = []
     covered: Set[str] = set()
-    for rec in list(getattr(decisions, "wrappers", None) or []):
+    for rec in decisions.wrappers if decisions is not None else ():
         v = _view_from_record(circuit, rec)
         if v is not None:
             views.append(v)
@@ -269,7 +274,7 @@ def _interior_path(
         out_lat = _edge_latency(circuit.units[uname])
         for ch in circuit.out_channels(circuit.units[uname]):
             lat2 = lat + out_lat
-            tok2 = tok + int(ch.attrs.get("tokens", 0))
+            tok2 = tok + circuit.channel_tokens(ch)
             nxt = ch.dst.unit
             if nxt == target:
                 if best[0] is None or lat2 > best[0][0]:
@@ -314,7 +319,7 @@ def build_flow_graph(
         base_lat = _edge_latency(unit)
         for ch in circuit.out_channels(unit):
             lat = base_lat
-            tok = int(ch.attrs.get("tokens", 0))
+            tok = circuit.channel_tokens(ch)
             dst = ch.dst.unit
             hops = 0
             while dst not in nodes:
@@ -330,7 +335,7 @@ def build_flow_graph(
                     dst = ""
                     break
                 lat += mid.latency
-                tok += int(out.attrs.get("tokens", 0))
+                tok += circuit.channel_tokens(out)
                 dst = out.dst.unit
                 hops += 1
             if dst:
@@ -409,8 +414,8 @@ def _slot_units(view: WrapperView, i: int) -> List[str]:
 class FlowIssue:
     """One structural finding of the token-flow analysis."""
 
-    #: ``zero-token-cycle`` | ``credit-overcommit`` | ``grant-mismatch``
-    #: | ``uncredited-wrapper`` | ``broken-slot-path``
+    #: ``zero-token-cycle`` | ``credit-overcommit`` | ``uncredited-wrapper``
+    #: | ``broken-slot-path``
     kind: str
     message: str
     unit: Optional[str] = None
@@ -537,7 +542,7 @@ def _check_credits(
     views: Sequence[WrapperView],
     analysis: FlowAnalysis,
 ) -> None:
-    """Structural Eq. 1 on the built units, plus grant-edge consistency."""
+    """Structural Eq. 1 on the built units."""
     for view in views:
         if not view.credited:
             analysis.issues.append(
@@ -574,29 +579,12 @@ def _check_credits(
                         unit=cc.name,
                     )
                 )
-            grant = circuit.out_channel(cc, 0)
-            if grant is not None:
-                annotated = int(grant.attrs.get("tokens", 0))
-                if annotated != cc.initial:
-                    analysis.issues.append(
-                        FlowIssue(
-                            kind="grant-mismatch",
-                            message=(
-                                f"credit counter {cc.name!r} grants "
-                                f"{cc.initial} credit(s) but its grant "
-                                f"channel is annotated with {annotated} "
-                                "circulating token(s); the marked-graph "
-                                "abstraction would be unsound"
-                            ),
-                            unit=cc.name,
-                        )
-                    )
 
 
 def _violated_pairs(
     view: WrapperView,
     circuit: DataflowCircuit,
-    decisions: Any,
+    decisions: "SharingResult",
 ) -> List[Tuple[str, str]]:
     """Recorded must-precede pairs the built arbiter actually violates."""
     if not view.group:
@@ -604,10 +592,7 @@ def _violated_pairs(
     arb = circuit.units.get(view.arbiter)
     if not isinstance(arb, ArbiterMerge):
         return []
-    constraints: Mapping[str, Sequence[Tuple[str, str]]] = dict(
-        getattr(decisions, "order_constraints", None) or {}
-    )
-    pairs = constraints.get("+".join(view.group), ())
+    pairs = decisions.order_constraints.get("+".join(view.group), ())
     rank = {
         view.group[idx]: pos
         for pos, idx in enumerate(arb.priority)
@@ -624,7 +609,7 @@ def _violated_pairs(
 def analyze_circuit(
     circuit: DataflowCircuit,
     cfcs: Optional[Sequence[CFC]] = None,
-    decisions: Any = None,
+    decisions: "Optional[SharingResult]" = None,
 ) -> FlowAnalysis:
     """Run the full token-flow analysis over one built circuit.
 
@@ -633,8 +618,12 @@ def analyze_circuit(
     wrapper slots are attributed to CFCs); recomputed from the live
     ``meta["cfc"]`` tags when omitted.  ``decisions`` is the sharing
     pass' result record, enabling op-name attribution and the
-    priority-inversion penalty model.
+    priority-inversion penalty model; None stands for an empty record.
     """
+    if decisions is None:
+        from ..core.crush import SharingResult
+
+        decisions = SharingResult()
     views = wrapper_views(circuit, decisions)
     analysis = FlowAnalysis(circuit=circuit.name, views=views)
     _check_credits(circuit, views, analysis)

@@ -1,11 +1,9 @@
 """Baseline sharing strategies the paper compares against."""
 
-from .inorder import InOrderResult, inorder_share, order_preserves_ii, total_order_of
-from .naive import NaiveResult, naive_share
+from .inorder import inorder_share, order_preserves_ii, total_order_of
+from .naive import naive_share
 
 __all__ = [
-    "InOrderResult",
-    "NaiveResult",
     "inorder_share",
     "naive_share",
     "order_preserves_ii",

@@ -22,56 +22,35 @@ paper highlights (Sections 3 and 6):
   kernels at paper scale); the exact-integer cycle-ratio analysis is
   most of the rest.
 
+The pass is CRUSH's (:mod:`repro.core.crush`) with two policies swapped:
+the merge test of Algorithm 1's loop (:func:`~repro.core.groups.merge_groups`)
+is the cost model followed by :func:`order_preserves_ii`, and each group's
+access order is its total order (:func:`total_order_of`).  Both passes
+return a :class:`~repro.core.crush.SharingResult`.
+
 Modelling notes (documented deviations): the wrapper we instantiate for
 accepted groups reuses the credit-based hardware with priority arbitration
-rather than a BB-order sequencer — for groups accepted by the order-safe
-criterion the steady-state schedule is the same, while a cyclic sequencer
-cannot span operations of sequentially-executed loop nests.  A true
-fixed-order wrapper (:class:`~repro.circuit.FixedOrderMerge`) is available
-and exercised by the Figure 1d / Figure 2 experiments.  Resource costing
-of the In-order arbitration is handled by the resource library's
-fixed-order merge entry (more FFs for the grant pointer, fewer LUTs than
-the priority encoder — the paper's Figure 9 trade-off).
+(``arbitration="inorder"``) rather than a BB-order sequencer — for groups
+accepted by the order-safe criterion the steady-state schedule is the same,
+while a cyclic sequencer cannot span operations of sequentially-executed
+loop nests.  A true fixed-order wrapper (:class:`~repro.circuit.FixedOrderMerge`)
+is available and exercised by the Figure 1d / Figure 2 experiments.  The
+``"inorder"`` arbiter is tagged ``order_state``, which the resource library
+costs like the fixed-order merge (more FFs for the grant pointer, fewer
+LUTs than the priority encoder — the paper's Figure 9 trade-off).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..analysis import CFC, break_combinational_cycles, occupancy_map
-from ..analysis.occupancy import group_occupancy_in_cfc
+from ..analysis import CFC, occupancy_map
 from ..analysis.throughput import WeightedEdge, max_cycle_ratio
 from ..circuit import DataflowCircuit
 from ..core.cost import SharingCostModel, default_cost_model
-from ..core.credits import allocate_credits, output_buffer_slots
-from ..core.groups import check_r1, sharing_candidates
-from ..core.priority import priority_constraints
-from ..core.wrapper import SharingWrapper, insert_sharing_wrapper
-
-
-@dataclass
-class InOrderResult:
-    """Decision record of the In-order pass."""
-
-    groups: List[List[str]]
-    wrappers: List[SharingWrapper] = field(default_factory=list)
-    opt_time_s: float = 0.0
-    evaluations: int = 0  # how many global re-analyses were run
-    #: Decision-time records mirroring :class:`~repro.core.crush.CrushResult`
-    #: so ``repro.lint`` can check In-order circuits with the same rules.
-    priorities: Dict[str, List[str]] = field(default_factory=dict)
-    credits: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    occupancies: Dict[str, Fraction] = field(default_factory=dict)
-    order_constraints: Dict[str, List[Tuple[str, str]]] = field(
-        default_factory=dict
-    )
-    group_load: Dict[str, Fraction] = field(default_factory=dict)
-
-    def group_key(self, group: Sequence[str]) -> str:
-        return "+".join(group)
+from ..core.crush import SharingResult, insert_wrappers
+from ..core.groups import merge_groups
 
 
 def total_order_of(group: Sequence[str], cfcs: Sequence[CFC]) -> List[str]:
@@ -132,81 +111,21 @@ def inorder_share(
     cfcs: Sequence[CFC],
     candidates: Optional[Sequence[str]] = None,
     cost_model: Optional[SharingCostModel] = None,
-) -> InOrderResult:
+) -> SharingResult:
     """Apply total-order-based sharing to ``circuit`` in place."""
     t0 = time.perf_counter()
     if cost_model is None:
         cost_model = default_cost_model()
-    if candidates is None:
-        candidates = sharing_candidates(circuit)
-    occ = occupancy_map(circuit, cfcs)
-    groups: List[List[str]] = [[op] for op in candidates]
-    evaluations = 0
+    result = SharingResult(occupancies=occupancy_map(circuit, cfcs))
 
-    modified = True
-    while modified:
-        modified = False
-        for i in range(len(groups)):
-            if not groups[i]:
-                continue
-            for j in range(i + 1, len(groups)):
-                if not groups[j]:
-                    continue
-                union = groups[i] + groups[j]
-                if not check_r1(circuit, union):
-                    continue
-                op_type = circuit.unit(union[0]).op
-                if not cost_model.merge_reduces_cost(
-                    op_type, len(groups[i]), len(groups[j])
-                ):
-                    continue
-                evaluations += 1
-                if not order_preserves_ii(circuit, cfcs, union):
-                    continue
-                groups[i] = union
-                groups[j] = []
-                modified = True
+    def accept(g_i: List[str], g_j: List[str]) -> bool:
+        op_type = circuit.unit(g_i[0]).op
+        if not cost_model.merge_reduces_cost(op_type, len(g_i), len(g_j)):
+            return False
+        result.evaluations += 1
+        return order_preserves_ii(circuit, cfcs, g_i + g_j)
 
-    result = InOrderResult(
-        groups=[g for g in groups if g],
-        evaluations=evaluations,
-        occupancies=occ,
-    )
-    for group in result.groups:
-        if len(group) < 2:
-            continue
-        order = total_order_of(group, cfcs)
-        creds = allocate_credits(group, occ)
-        key = result.group_key(group)
-        result.priorities[key] = order
-        result.credits[key] = creds
-        result.order_constraints[key] = priority_constraints(group, cfcs)
-        result.group_load[key] = max(
-            (
-                group_occupancy_in_cfc(circuit, group, cfc)
-                for cfc in cfcs
-                if cfc.ii().ii > 0
-            ),
-            default=Fraction(0),
-        )
-        wrapper = insert_sharing_wrapper(
-            circuit,
-            group,
-            priority=order,
-            credits=creds,
-            ob_slots=output_buffer_slots(creds),
-            arbitration="priority",
-        )
-        wrapper.arbitration = "inorder"
-        # The total-order controller tracks the grant sequence in registers;
-        # the resource model costs it accordingly (more FFs than CRUSH's
-        # stateless priority encoder — the paper's Figure 9 trade-off).
-        circuit.units[wrapper.arbiter].meta["order_state"] = True
-        result.wrappers.append(wrapper)
-    if result.wrappers:
-        break_combinational_cycles(circuit)
-        from ..analysis import insert_timing_buffers
-
-        insert_timing_buffers(circuit)
+    result.groups = merge_groups(circuit, candidates, accept)
+    insert_wrappers(circuit, cfcs, result, total_order_of, "inorder")
     result.opt_time_s = time.perf_counter() - t0
     return result

@@ -8,24 +8,16 @@ functional unit per operation.  Exists so the evaluation pipeline treats
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..analysis import CFC
 from ..circuit import DataflowCircuit
-
-
-@dataclass
-class NaiveResult:
-    """Trivial decision record: nothing was shared."""
-
-    opt_time_s: float = 0.0
-    groups: tuple = ()
+from ..core.crush import SharingResult
 
 
 def naive_share(
     circuit: DataflowCircuit, cfcs: Optional[Sequence[CFC]] = None
-) -> NaiveResult:
-    """The identity sharing pass."""
+) -> SharingResult:
+    """The identity sharing pass: a record with no groups."""
     t0 = time.perf_counter()
-    return NaiveResult(opt_time_s=time.perf_counter() - t0)
+    return SharingResult(opt_time_s=time.perf_counter() - t0)

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..errors import CircuitError
 from .channel import Channel, PortRef, DATA_WIDTH
 from .unit import Unit
+from .units.credit import CreditCounter
 from .units.functional import OpSpec
 
 #: Attribute values :func:`_canonical` writes with ``repr``.
@@ -190,6 +191,15 @@ class DataflowCircuit:
             for i in range(unit.n_in)
             if (unit.name, i) in self._in_map
         ]
+
+    def channel_tokens(self, ch: Channel) -> int:
+        """Tokens ``ch`` holds at reset: a credit counter's grant carries
+        the counter's ``initial`` credits, which are stored nowhere else;
+        any other channel its ``tokens`` annotation (loop backedges)."""
+        src = self.units[ch.src.unit]
+        if isinstance(src, CreditCounter):
+            return src.initial
+        return int(ch.attrs.get("tokens", 0))
 
     def successors(self, unit: Unit) -> List[Unit]:
         return [self.units[ch.dst.unit] for ch in self.out_channels(unit)]

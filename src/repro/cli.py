@@ -298,8 +298,8 @@ def _cmd_lint(args) -> int:
         shared_simulations,
     )
 
-    config = LintConfig.from_specs(args.rule or [])
     try:
+        config = LintConfig.from_specs(args.rule or [])
         config.rules()
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)

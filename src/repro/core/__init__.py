@@ -3,7 +3,7 @@
 from .cost import SharingCostModel, default_cost_model
 from .elision import ElisionResult, elide_output_buffers
 from .credits import allocate_credits, credits_for_op, output_buffer_slots
-from .crush import CrushResult, crush
+from .crush import SharingResult, crush
 from .groups import (
     check_r1,
     check_r2,
@@ -15,10 +15,10 @@ from .priority import access_priority
 from .wrapper import SharingWrapper, check_credit_constraint, insert_sharing_wrapper
 
 __all__ = [
-    "CrushResult",
     "ElisionResult",
     "elide_output_buffers",
     "SharingCostModel",
+    "SharingResult",
     "SharingWrapper",
     "access_priority",
     "allocate_credits",

@@ -12,7 +12,11 @@ dataflow circuit and its performance-critical CFCs,
    credit-based sharing wrapper.
 
 The result records every decision plus the measured optimization time, the
-quantity the paper's Tables 2-3 report in the ``Opt. time`` column.
+quantity the paper's Tables 2-3 report in the ``Opt. time`` column.  The
+record (:class:`SharingResult`) and the rewrite of steps 3-5
+(:func:`insert_wrappers`) are the baselines' too: Naive returns an empty
+record, and In-order (:mod:`repro.baselines.inorder`) runs the same pass
+with its own merge test, access order and arbiter.
 """
 
 from __future__ import annotations
@@ -20,23 +24,34 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis import CFC, break_combinational_cycles, critical_cfcs, occupancy_map
-from ..analysis.occupancy import group_occupancy_in_cfc
+from ..analysis import (
+    CFC,
+    break_combinational_cycles,
+    critical_cfcs,
+    group_occupancy_in_cfc,
+    insert_timing_buffers,
+    occupancy_map,
+)
 from ..circuit import DataflowCircuit
 from .cost import SharingCostModel, default_cost_model
 from .credits import allocate_credits, output_buffer_slots
-from .groups import sharing_candidates, sharing_groups
+from .groups import sharing_groups
 from .priority import access_priority, priority_constraints
 from .wrapper import SharingWrapper, insert_sharing_wrapper
 
 
 @dataclass
-class CrushResult:
-    """Everything the CRUSH pass decided and did."""
+class SharingResult:
+    """Everything a sharing pass (Naive, In-order or CRUSH) decided and did.
 
-    groups: List[List[str]]
+    Naive records no groups; In-order and CRUSH record every candidate's
+    group, singletons included, and the per-group decisions below for
+    the groups they shared.
+    """
+
+    groups: List[List[str]] = field(default_factory=list)
     priorities: Dict[str, List[str]] = field(default_factory=dict)
     credits: Dict[str, Dict[str, int]] = field(default_factory=dict)
     wrappers: List[SharingWrapper] = field(default_factory=list)
@@ -53,6 +68,8 @@ class CrushResult:
     #: ``repro.lint`` rule CR003 against the live shared unit's capacity.
     group_load: Dict[str, Fraction] = field(default_factory=dict)
     opt_time_s: float = 0.0
+    #: Global re-analyses the In-order merge test ran (0 for the others).
+    evaluations: int = 0
 
     def units_removed(self) -> int:
         """Functional units eliminated by sharing."""
@@ -65,12 +82,64 @@ class CrushResult:
         return "+".join(group)
 
 
+def insert_wrappers(
+    circuit: DataflowCircuit,
+    cfcs: Sequence[CFC],
+    result: SharingResult,
+    access_order: Callable[[Sequence[str], Sequence[CFC]], List[str]],
+    arbitration: str,
+) -> None:
+    """Rewrite every shared group of ``result`` into a sharing wrapper.
+
+    Per group: the access order ``access_order(group, cfcs)``, Eq. 3
+    credits, Eq. 1 output buffers and the decision-time records, then
+    the wrapper itself (:func:`insert_sharing_wrapper` with
+    ``arbitration``).  Everything is recorded in ``result``.
+    """
+    for group in result.shared_groups():
+        key = result.group_key(group)
+        # Decision-time records for the static lint layer: the rewrite
+        # below removes the grouped units, so anything that needs the
+        # pre-rewrite graph must be captured now.
+        result.priorities[key] = access_order(group, cfcs)
+        result.credits[key] = allocate_credits(group, result.occupancies)
+        result.order_constraints[key] = priority_constraints(group, cfcs)
+        result.group_load[key] = max(
+            (
+                group_occupancy_in_cfc(circuit, group, cfc)
+                for cfc in cfcs
+                if cfc.ii().ii > 0
+            ),
+            default=Fraction(0),
+        )
+        result.wrappers.append(
+            insert_sharing_wrapper(
+                circuit,
+                group,
+                priority=result.priorities[key],
+                credits=result.credits[key],
+                ob_slots=output_buffer_slots(result.credits[key]),
+                arbitration=arbitration,
+            )
+        )
+    if result.wrappers:
+        # When grouped operations feed each other, the wrapper's output path
+        # (transparent OB, lazy fork) loops combinationally back into its
+        # input path (join, arbiter); a pipeline register breaks the loop,
+        # exactly as hardware would require.  The timing pass then registers
+        # the operand/result chains the wrapper lengthened; the arbitration
+        # logic itself stays combinational, so a residual CP overhead that
+        # grows with the group size remains (paper Section 6.4).
+        break_combinational_cycles(circuit)
+        insert_timing_buffers(circuit)
+
+
 def crush(
     circuit: DataflowCircuit,
     cfcs: Optional[Sequence[CFC]] = None,
     candidates: Optional[Sequence[str]] = None,
     cost_model: Optional[SharingCostModel] = None,
-) -> CrushResult:
+) -> SharingResult:
     """Apply CRUSH to ``circuit`` in place and return the decision record.
 
     ``cfcs`` defaults to the frontend-tagged performance-critical CFCs;
@@ -82,55 +151,11 @@ def crush(
         cfcs = critical_cfcs(circuit)
     if cost_model is None:
         cost_model = default_cost_model()
-    if candidates is None:
-        candidates = sharing_candidates(circuit)
-
     occ = occupancy_map(circuit, cfcs)
-    groups = sharing_groups(
-        circuit, cfcs, occ, candidates=candidates, cost_model=cost_model
+    result = SharingResult(
+        groups=sharing_groups(circuit, cfcs, occ, candidates, cost_model),
+        occupancies=occ,
     )
-    result = CrushResult(groups=groups, occupancies=occ)
-    for group in groups:
-        if len(group) < 2:
-            continue
-        prio = access_priority(group, cfcs)
-        creds = allocate_credits(group, occ)
-        obs = output_buffer_slots(creds)
-        key = result.group_key(group)
-        # Decision-time records for the static lint layer: the rewrite
-        # below removes the grouped units, so anything that needs the
-        # pre-rewrite graph must be captured now.
-        result.order_constraints[key] = priority_constraints(group, cfcs)
-        result.group_load[key] = max(
-            (
-                group_occupancy_in_cfc(circuit, group, cfc)
-                for cfc in cfcs
-                if cfc.ii().ii > 0
-            ),
-            default=Fraction(0),
-        )
-        wrapper = insert_sharing_wrapper(
-            circuit,
-            group,
-            priority=prio,
-            credits=creds,
-            ob_slots=obs,
-            arbitration="priority",
-        )
-        result.priorities[key] = prio
-        result.credits[key] = creds
-        result.wrappers.append(wrapper)
-    if result.wrappers:
-        # When grouped operations feed each other, the wrapper's output path
-        # (transparent OB, lazy fork) loops combinationally back into its
-        # input path (join, arbiter); a pipeline register breaks the loop,
-        # exactly as hardware would require.  The timing pass then registers
-        # the operand/result chains the wrapper lengthened; the arbitration
-        # logic itself stays combinational, so a residual CP overhead that
-        # grows with the group size remains (paper Section 6.4).
-        break_combinational_cycles(circuit)
-        from ..analysis import insert_timing_buffers
-
-        insert_timing_buffers(circuit)
+    insert_wrappers(circuit, cfcs, result, access_priority, "priority")
     result.opt_time_s = time.perf_counter() - t0
     return result

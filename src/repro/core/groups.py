@@ -18,13 +18,15 @@ pairs of groups; a merge ``G = G_i ∪ G_j`` is accepted only when
 and when the merge reduces the Equation-2 cost.  The loop repeats until no
 pair can merge.  Everything here is local graph analysis — no global
 re-optimization per decision, which is where CRUSH's ~90% optimization-time
-saving over the In-order baseline comes from.
+saving over the In-order baseline comes from.  That baseline runs the same
+loop (:func:`merge_groups`) with its global total-order check in place of
+R2, R3 and the cost test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..circuit import DataflowCircuit, FunctionalUnit
 from ..errors import SharingError
@@ -98,16 +100,18 @@ def check_r3(circuit: DataflowCircuit, group: Sequence[str], cfc: CFC) -> bool:
     return True
 
 
-def sharing_groups(
+def merge_groups(
     circuit: DataflowCircuit,
-    cfcs: Sequence[CFC],
-    occupancies: Mapping[str, Fraction],
-    candidates: Optional[Sequence[str]] = None,
-    cost_model: Optional[SharingCostModel] = None,
+    candidates: Optional[Sequence[str]],
+    accept: Callable[[List[str], List[str]], bool],
 ) -> List[List[str]]:
-    """Run Algorithm 1; returns the non-empty sharing groups.
+    """Algorithm 1's greedy loop; returns the non-empty groups.
 
-    Groups are lists of unit names; singleton groups mean "do not share".
+    Starts from one singleton group per candidate (default: every
+    shareable unit) and merges ``G_i`` and ``G_j`` when their union
+    passes R1 and then ``accept(G_i, G_j)``, the sharing technique's own
+    test, until no pair merges.  Groups are lists of unit names;
+    singleton groups mean "do not share".
     """
     if candidates is None:
         candidates = sharing_candidates(circuit)
@@ -116,13 +120,6 @@ def sharing_groups(
         if not isinstance(u, FunctionalUnit):
             raise SharingError(f"candidate {name!r} is not a functional unit")
     groups: List[List[str]] = [[op] for op in candidates]
-
-    def cost_ok(g_i: List[str], g_j: List[str]) -> bool:
-        if cost_model is None:
-            return True
-        op_type = circuit.unit(g_i[0]).op
-        return cost_model.merge_reduces_cost(op_type, len(g_i), len(g_j))
-
     modified = True
     while modified:
         modified = False
@@ -133,17 +130,32 @@ def sharing_groups(
                 if not groups[j]:
                     continue
                 union = groups[i] + groups[j]
-                if not check_r1(circuit, union):
-                    continue
-                if any(
-                    not check_r2(circuit, union, cfc, occupancies) for cfc in cfcs
-                ):
-                    continue
-                if any(not check_r3(circuit, union, cfc) for cfc in cfcs):
-                    continue
-                if not cost_ok(groups[i], groups[j]):
+                if not check_r1(circuit, union) or not accept(groups[i], groups[j]):
                     continue
                 groups[i] = union
                 groups[j] = []
                 modified = True
     return [g for g in groups if g]
+
+
+def sharing_groups(
+    circuit: DataflowCircuit,
+    cfcs: Sequence[CFC],
+    occupancies: Mapping[str, Fraction],
+    candidates: Optional[Sequence[str]] = None,
+    cost_model: Optional[SharingCostModel] = None,
+) -> List[List[str]]:
+    """CRUSH's Algorithm 1: merges that keep R2 and R3 in every CFC and
+    reduce the Equation-2 cost (any merge when ``cost_model`` is None)."""
+
+    def accept(g_i: List[str], g_j: List[str]) -> bool:
+        union = g_i + g_j
+        if any(not check_r2(circuit, union, cfc, occupancies) for cfc in cfcs):
+            return False
+        if any(not check_r3(circuit, union, cfc) for cfc in cfcs):
+            return False
+        return cost_model is None or cost_model.merge_reduces_cost(
+            circuit.unit(g_i[0]).op, len(g_i), len(g_j)
+        )
+
+    return merge_groups(circuit, candidates, accept)

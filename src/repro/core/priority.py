@@ -12,9 +12,28 @@ their relative order: any priority is acceptable for them.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..analysis import CFC
+
+
+def _ordered_pair(
+    a: str, b: str, cfcs: Sequence[CFC]
+) -> Optional[Tuple[str, str]]:
+    """Algorithm 2's pair test: ``(producer, consumer)`` as ordered by the
+    first CFC holding ``a`` and ``b`` in *different* SCCs of its
+    condensation (earlier topological position first), or None when no
+    CFC constrains the pair."""
+    for cfc in cfcs:
+        if a not in cfc.unit_names or b not in cfc.unit_names:
+            continue
+        sccg = cfc.scc_graph()
+        if sccg.same_scc(a, b):
+            continue  # this CFC does not constrain the pair
+        if sccg.topo_position(a) <= sccg.topo_position(b):
+            return (a, b)
+        return (b, a)
+    return None
 
 
 def priority_constraints(
@@ -22,30 +41,18 @@ def priority_constraints(
 ) -> List[Tuple[str, str]]:
     """Must-precede pairs ``(producer, consumer)`` implied by Algorithm 2.
 
-    For each pair of group members, the first CFC containing both in
-    *different* SCCs of its condensation orders them by topological
-    position — the same decision procedure :func:`access_priority` sorts
-    with.  Any access-priority list that honors every returned pair
-    (producer listed before consumer) is a valid Algorithm-2 assignment;
-    ``repro.lint`` rule ``CR002`` checks built arbiters against these
-    pairs.
+    One pair per pair of group members that some CFC constrains — the
+    same test :func:`access_priority` sorts with.  Any access-priority
+    list that honors every returned pair (producer listed before
+    consumer) is a valid Algorithm-2 assignment; ``repro.lint`` rule
+    ``CR002`` checks built arbiters against these pairs.
     """
     pairs: List[Tuple[str, str]] = []
-    n = len(group)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = group[i], group[j]
-            for cfc in cfcs:
-                if a not in cfc.unit_names or b not in cfc.unit_names:
-                    continue
-                sccg = cfc.scc_graph()
-                if sccg.same_scc(a, b):
-                    continue  # this CFC does not constrain the pair
-                if sccg.topo_position(a) <= sccg.topo_position(b):
-                    pairs.append((a, b))
-                else:
-                    pairs.append((b, a))
-                break  # first deciding CFC wins (matches access_priority)
+    for i, a in enumerate(group):
+        for b in group[i + 1:]:
+            pair = _ordered_pair(a, b, cfcs)
+            if pair is not None:
+                pairs.append(pair)
     return pairs
 
 
@@ -60,14 +67,7 @@ def access_priority(group: Sequence[str], cfcs: Sequence[CFC]) -> List[str]:
         passes += 1
         for i in range(1, n):
             a, b = prio[i - 1], prio[i]
-            for cfc in cfcs:
-                if a not in cfc.unit_names or b not in cfc.unit_names:
-                    continue
-                sccg = cfc.scc_graph()
-                if sccg.same_scc(a, b):
-                    continue
-                if sccg.topo_position(a) > sccg.topo_position(b):
-                    prio[i - 1], prio[i] = b, a
-                    modified = True
-                break  # first CFC containing both decides (deterministic)
+            if _ordered_pair(a, b, cfcs) == (b, a):
+                prio[i - 1], prio[i] = b, a
+                modified = True
     return prio

@@ -54,15 +54,14 @@ def build_shared_standalone(
     c, names = build_standalone_group(n, op)
     if n < 2:
         return c, None
+    if strategy not in ("crush", "inorder"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     n_cc = paper_credits(n, op)
     credits = {nm: n_cc for nm in names}
-    wrapper = insert_sharing_wrapper(c, names, credits=credits)
-    if strategy == "inorder":
-        wrapper.arbitration = "inorder"
-        c.units[wrapper.arbiter].meta["order_state"] = True
-    elif strategy != "crush":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return c, wrapper
+    arbitration = "inorder" if strategy == "inorder" else "priority"
+    return c, insert_sharing_wrapper(
+        c, names, credits=credits, arbitration=arbitration
+    )
 
 
 def shared_group_resources(

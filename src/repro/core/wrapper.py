@@ -20,10 +20,15 @@ shared unit holds is guaranteed a free slot in its destination output
 buffer, so the head of the line can never stall (no head-of-line blocking),
 and the priority arbiter never lets a missing request starve a present one.
 
+``arbitration="inorder"`` builds the same priority arbiter for the In-order
+baseline and tags it ``order_state``: its total-order controller tracks the
+grant sequence in registers, which the resource model costs.
 ``arbitration="fixed"`` swaps the priority arbiter for a strict cyclic-order
-controller — the scheme of the paper's Figure 1d and of the In-order
-baseline — used to demonstrate order-induced deadlock and to model the
-prior work's behaviour.
+controller — the scheme of the paper's Figure 1d — used to demonstrate
+order-induced deadlock and to model the prior work's behaviour.
+
+Each counter's credit count is stored once, as its ``initial``; the
+analyses read a grant edge's circulating tokens from there.
 """
 
 from __future__ import annotations
@@ -107,8 +112,9 @@ def insert_sharing_wrapper(
     (default: group order).  ``credits`` maps each operation to ``N_CC``
     (default 1); ``ob_slots`` to ``N_OB`` (default: equal to the credits,
     the paper's Figure 3 configuration).  ``arbitration`` is ``"priority"``
-    (CRUSH) or ``"fixed"`` (strict cyclic order following ``fixed_order``,
-    default round-robin over ``group``).
+    (CRUSH), ``"inorder"`` (the same arbiter tagged ``order_state``, the
+    In-order baseline) or ``"fixed"`` (strict cyclic order following
+    ``fixed_order``, default round-robin over ``group``).
 
     ``use_credits=False`` builds the paper's *naive* wrapper (Figure 1b):
     no credit counters, results drain straight from the output buffers.
@@ -165,15 +171,16 @@ def insert_sharing_wrapper(
             circuit.redirect_dst(ch, join, p)
         if use_credits:
             cc = circuit.add(CreditCounter(f"{base}cc{i}", credits[name]))
-            grant = circuit.connect(cc, 0, join, n_operands, width=0)
-            grant.attrs["tokens"] = credits[name]
+            circuit.connect(cc, 0, join, n_operands, width=0)
             ccs.append(cc)
         joins.append(join)
 
     # --- arbiter, shared unit, condition buffer, branch --------------------
-    if arbitration == "priority":
+    if arbitration in ("priority", "inorder"):
         prio_idx = [group.index(nm) for nm in priority]
         arb = circuit.add(ArbiterMerge(f"{base}arb", n, priority=prio_idx))
+        if arbitration == "inorder":
+            arb.meta["order_state"] = True
     elif arbitration == "fixed":
         order = list(fixed_order) if fixed_order is not None else list(group)
         order_idx = [group.index(nm) for nm in order]

@@ -32,6 +32,7 @@ if TYPE_CHECKING:
     from ..analysis.memdep import MemDepReport
     from ..analysis.tokenflow import FlowAnalysis
     from ..circuit import DataflowCircuit
+    from ..core.crush import SharingResult
 
 #: Signature every rule body has: ``fn(ctx, emit)``.
 RuleCheck = Callable[..., None]
@@ -148,20 +149,25 @@ class LintConfig:
 
 
 class LintContext:
-    """Everything a rule may inspect: the circuit, the sharing decisions
-    that produced it (``CrushResult`` / ``InOrderResult`` / ``NaiveResult``
-    or None), the performance-critical CFCs, and — for the ``FL`` rules —
-    an optional expected steady-state II (from a recorded golden) that
-    the statically predicted II is regression-checked against."""
+    """Everything a rule may inspect: the circuit, the sharing pass'
+    :class:`~repro.core.crush.SharingResult` that produced it (an empty
+    record when the caller has none), the performance-critical CFCs,
+    and — for the ``FL`` rules — an optional expected steady-state II
+    (from a recorded golden) that the statically predicted II is
+    regression-checked against."""
 
     def __init__(
         self,
         circuit: "DataflowCircuit",
-        decisions: Any = None,
+        decisions: "Optional[SharingResult]" = None,
         cfcs: Optional[Sequence["CFC"]] = None,
         expected_ii: Any = None,
         kernel: Any = None,
     ) -> None:
+        if decisions is None:
+            from ..core.crush import SharingResult
+
+            decisions = SharingResult()
         self.circuit = circuit
         self.decisions = decisions
         self._cfcs = cfcs
@@ -199,9 +205,8 @@ class LintContext:
         """Per-op steady-state occupancy map (decision-recorded when
         available, recomputed otherwise)."""
         if self._occupancies is None:
-            rec = getattr(self.decisions, "occupancies", None)
-            if rec:
-                self._occupancies = dict(rec)
+            if self.decisions.occupancies:
+                self._occupancies = dict(self.decisions.occupancies)
             else:
                 from ..analysis.occupancy import occupancy_map
 
@@ -243,7 +248,7 @@ class LintContext:
 
 def run_lint(
     circuit: "DataflowCircuit",
-    decisions: Any = None,
+    decisions: "Optional[SharingResult]" = None,
     cfcs: Optional[Sequence["CFC"]] = None,
     config: Optional[LintConfig] = None,
     expected_ii: Any = None,

@@ -9,18 +9,17 @@ CR002    access priority violates Algorithm 2: a consumer outranks its
 CR003    sharing group violates Algorithm 1's R1/R2/R3 merge rules
 =======  ==================================================================
 
-The decision records (:class:`~repro.core.crush.CrushResult` /
-:class:`~repro.baselines.inorder.InOrderResult`) hold what only decision
-time knows: the credits and output-buffer slots the pass chose,
-Algorithm 2's must-precede pairs and rule R2's group load, captured
-*before* the rewrite removes the grouped units.  Eq. 1 and the
-uncredited (naive) slot on the built wrapper units are ``FL002``'s, which
-needs no record.
+The decision record (:class:`~repro.core.crush.SharingResult`, one shape
+for Naive, In-order and CRUSH) holds what only decision time knows: the
+credits and output-buffer slots the pass chose, Algorithm 2's
+must-precede pairs and rule R2's group load, captured *before* the
+rewrite removes the grouped units.  Eq. 1 and the uncredited (naive)
+slot on the built wrapper units are ``FL002``'s, which needs no record.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..analysis.occupancy import unit_capacity
 from ..circuit import (
@@ -34,11 +33,6 @@ from ..core.groups import check_r1, check_r2, check_r3
 from .registry import LintContext, rule
 
 Emit = Callable[..., None]
-
-
-def _decided_wrappers(ctx: LintContext) -> List[Any]:
-    """The decision record's wrapper list, when one exists."""
-    return list(getattr(ctx.decisions, "wrappers", None) or [])
 
 
 @rule(
@@ -58,7 +52,7 @@ def check_credit_overcommit(ctx: LintContext, emit: Emit) -> None:
     units themselves is ``FL002``'s."""
     # Decision-record drift: what the pass decided must match what was
     # built (a later transform resizing either side re-opens Eq. 1).
-    for w in _decided_wrappers(ctx):
+    for w in ctx.decisions.wrappers:
         for i, op in enumerate(w.group):
             dec_cc = (w.credits or {}).get(op)
             dec_ob = (w.ob_slots or {}).get(op)
@@ -135,19 +129,13 @@ def check_priority_order(ctx: LintContext, emit: Emit) -> None:
     must-precede pairs were recorded at decision time (the rewrite
     removed the grouped units); the rule checks the *built* arbiter
     permutation against them, plus drift against the recorded list."""
-    constraints: Dict[str, List[Tuple[str, str]]] = dict(
-        getattr(ctx.decisions, "order_constraints", None) or {}
-    )
-    recorded: Dict[str, List[str]] = dict(
-        getattr(ctx.decisions, "priorities", None) or {}
-    )
-    for w in _decided_wrappers(ctx):
+    for w in ctx.decisions.wrappers:
         key = "+".join(w.group)
         live = _live_priority_names(ctx.circuit, w)
         if live is None or len(live) != len(w.group):
             continue  # arbiter missing/mangled: ST001's problem
         rank = {op: i for i, op in enumerate(live)}
-        for a, b in constraints.get(key, ()):
+        for a, b in ctx.decisions.order_constraints.get(key, ()):
             if a in rank and b in rank and rank[a] > rank[b]:
                 emit(
                     f"sharing group {key}: access priority ranks consumer "
@@ -156,7 +144,7 @@ def check_priority_order(ctx: LintContext, emit: Emit) -> None:
                     "topological order Algorithm 2 requires",
                     unit=w.arbiter,
                 )
-        dec = recorded.get(key)
+        dec = ctx.decisions.priorities.get(key)
         if dec and list(dec) != list(live):
             emit(
                 f"sharing group {key}: built arbitration order {live} "
@@ -181,13 +169,10 @@ def check_merge_rules(ctx: LintContext, emit: Emit) -> None:
     after the rewrite, the recorded worst-case group load is re-checked
     against the live shared unit's capacity (R2's inequality)."""
     decisions = ctx.decisions
-    if decisions is None:
-        return
-    groups = [g for g in getattr(decisions, "groups", ()) if len(g) > 1]
+    groups = [g for g in decisions.groups if len(g) > 1]
     if not groups:
         return
-    group_load = dict(getattr(decisions, "group_load", None) or {})
-    wrappers = {"+".join(w.group): w for w in _decided_wrappers(ctx)}
+    wrappers = {"+".join(w.group): w for w in decisions.wrappers}
     c = ctx.circuit
     for group in groups:
         key = "+".join(group)
@@ -216,7 +201,7 @@ def check_merge_rules(ctx: LintContext, emit: Emit) -> None:
             continue
         # Post-rewrite: members are gone; re-check R2 from the records.
         w = wrappers.get(key)
-        load = group_load.get(key)
+        load = decisions.group_load.get(key)
         if w is None or load is None:
             continue
         shared = c.units.get(w.shared_unit)

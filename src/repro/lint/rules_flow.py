@@ -7,8 +7,7 @@ FL001    zero-token cycle: some cycle of the marked-graph abstraction
          carries latency but no circulating token — a certain structural
          deadlock; the exact starved cycle is reported
 FL002    sharing-wrapper head-of-line hazard: credits exceed output-buffer
-         slots (Eq. 1), a wrapper has no credit counters at all, a grant
-         channel's token annotation disagrees with the counter, or a
+         slots (Eq. 1), a wrapper has no credit counters at all, or a
          slot's interior result path is broken
 FL003    credit undersized: ``N_CC < ceil(Φ_op) + 1`` (Eq. 3) — the slot
          cannot keep the shared unit as busy as the pre-sharing pipeline,
@@ -81,17 +80,12 @@ def check_head_of_line(ctx: LintContext, emit: Emit) -> None:
     """Structural head-of-line hazards on built wrapper units: Eq. 1
     violated on the live counters/buffers (``N_CC > N_OB``), a wrapper
     with unbounded in-flight results (no credit counters — the naive
-    wrapper the paper's Figure 1b motivates with), a credit-grant
-    channel whose token annotation drifted from the counter (the
-    marked-graph abstraction would be unsound), or a slot whose interior
-    result path is broken.  Complements ``CR001``, which audits the
-    *decision records*; this rule audits the *graph*."""
-    for kind in (
-        "credit-overcommit",
-        "uncredited-wrapper",
-        "grant-mismatch",
-        "broken-slot-path",
-    ):
+    wrapper the paper's Figure 1b motivates with), or a slot whose
+    interior result path is broken.  A counter's credits are stored
+    once, as its ``initial``, so one resized counter is one finding.
+    Complements ``CR001``, which audits the *decision records*; this
+    rule audits the *graph*."""
+    for kind in ("credit-overcommit", "uncredited-wrapper", "broken-slot-path"):
         for issue in ctx.flow.issues_of(kind):
             emit(issue.message, unit=issue.unit)
 

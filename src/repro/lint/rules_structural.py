@@ -248,7 +248,8 @@ def check_saturated_cycles(ctx: LintContext, emit: Emit) -> None:
     """A directed cycle whose circulating tokens fill (or exceed) its
     total storage capacity is a full ring: every transfer on it needs a
     free slot ahead, so nothing ever fires.  Zero-capacity cycles holding
-    a token are the degenerate case.
+    a token are the degenerate case.  The tokens are the backedge
+    annotations and each credit counter's initial credits on its grant.
 
     :func:`saturated_cycles` finds the components holding such a cycle
     with tokens on it; only those are searched cycle by cycle, for the
@@ -260,7 +261,7 @@ def check_saturated_cycles(ctx: LintContext, emit: Emit) -> None:
     for ch in c.channels:
         if ch.src.unit not in c.units or ch.dst.unit not in c.units:
             continue  # ST001's problem
-        t = int(ch.attrs.get("tokens", 0))
+        t = c.channel_tokens(ch)
         key = (ch.src.unit, ch.dst.unit)
         # Parallel channels: keep the fewest tokens (the least saturated
         # routing) so the rule never over-reports.

@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .analysis.lp_sizing import load_solver
 from .baselines import inorder_share, naive_share
-from .core import crush
+from .core import SharingResult, crush
 from .errors import ReproError
 from .frontend import (
     LoweredKernel,
@@ -176,13 +176,16 @@ class PreparedRun:
     style: str
     lowered: Any  # LoweredKernel
     cfcs: List[Any]  # pre-rewrite performance-critical CFCs
-    decisions: Any  # CrushResult / InOrderResult / NaiveResult
-    groups: List[List[str]]
+    decisions: SharingResult
     buffer_time: float
 
     @property
     def circuit(self):
         return self.lowered.circuit
+
+    @property
+    def groups(self) -> List[List[str]]:
+        return self.decisions.groups
 
 
 @dataclass
@@ -261,13 +264,10 @@ def prepare_circuit(
 
     if technique == "naive":
         share = naive_share(circuit, cfcs)
-        groups: List[List[str]] = []
     elif technique == "inorder":
         share = inorder_share(circuit, cfcs)
-        groups = share.groups
     else:
         share = crush(circuit, cfcs)
-        groups = share.groups
     # Final timing cleanup for every technique, so CP comparisons reflect
     # the sharing logic rather than differing numbers of optimizer passes.
     insert_timing_buffers(circuit)
@@ -279,7 +279,6 @@ def prepare_circuit(
         lowered=lowered,
         cfcs=list(cfcs),
         decisions=share,
-        groups=groups,
         buffer_time=buffered.buffer_time,
     )
 

@@ -10,6 +10,7 @@ from repro.baselines import (
     total_order_of,
 )
 from repro.circuit import FunctionalUnit
+from repro.core import SharingResult, crush
 from repro.frontend import lower_kernel, simulate_kernel
 from repro.frontend.kernels import build
 
@@ -35,7 +36,8 @@ class TestNaive:
         before = dict(fp_census(low.circuit))
         res = naive_share(low.circuit, cfcs)
         assert fp_census(low.circuit) == before
-        assert res.groups == ()
+        assert not res.groups
+        assert not res.wrappers
 
 
 class TestTotalOrder:
@@ -105,8 +107,6 @@ class TestInOrderPass:
         simulate_kernel(low, max_cycles=200000)  # raises on a mismatch
 
     def test_opt_time_exceeds_crush(self):
-        from repro.core import crush
-
         low1, cfcs1 = prepared("gsumif")
         r1 = inorder_share(low1.circuit, cfcs1)
         low2, cfcs2 = prepared("gsumif")
@@ -118,3 +118,32 @@ class TestInOrderPass:
         res = inorder_share(low.circuit, cfcs)
         for w in res.wrappers:
             assert low.circuit.unit(w.arbiter).meta.get("order_state")
+
+
+class TestOneSharingPass:
+    """Naive, In-order and CRUSH are one pass with different policies,
+    and all three return the same decision record."""
+
+    @pytest.mark.parametrize("kernel", ["atax", "gsumif"])
+    def test_every_technique_returns_a_sharing_result(self, kernel):
+        records = {}
+        for share in (naive_share, inorder_share, crush):
+            low, cfcs = prepared(kernel)
+            records[share.__name__] = share(low.circuit, cfcs)
+        assert {type(r) for r in records.values()} == {SharingResult}
+        assert records["inorder_share"].evaluations > 0
+        assert records["crush"].evaluations == 0
+        assert records["naive_share"].evaluations == 0
+        assert records["naive_share"].groups == []
+
+    def test_inorder_records_every_decision_of_its_groups(self):
+        low, cfcs = prepared("atax")
+        res = inorder_share(low.circuit, cfcs)
+        shared = res.shared_groups()
+        assert shared and len(res.wrappers) == len(shared)
+        for group, w in zip(shared, res.wrappers):
+            key = res.group_key(group)
+            assert res.priorities[key] == total_order_of(group, cfcs)
+            assert w.credits == res.credits[key]
+            assert key in res.order_constraints and key in res.group_load
+            assert w.arbitration == "inorder"

@@ -31,6 +31,24 @@ class TestBuilders:
         c, wrapper = build_shared_standalone(1, "fadd")
         assert wrapper is None
 
+    def test_inorder_strategy_builds_the_inorder_arbiter(self, monkeypatch):
+        import repro.core.standalone as standalone
+
+        seen = []
+        real = standalone.insert_sharing_wrapper
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("arbitration"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(standalone, "insert_sharing_wrapper", spy)
+        c, wrapper = build_shared_standalone(3, "fadd", strategy="inorder")
+        assert seen == ["inorder"]
+        assert c.unit(wrapper.arbiter).meta.get("order_state") is True
+        c, wrapper = build_shared_standalone(3, "fadd", strategy="crush")
+        assert seen == ["inorder", "priority"]
+        assert "order_state" not in c.unit(wrapper.arbiter).meta
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             build_shared_standalone(2, "fadd", strategy="magic")

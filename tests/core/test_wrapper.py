@@ -97,6 +97,21 @@ class TestConstruction:
         assert isinstance(c.unit(w.arbiter), FixedOrderMerge)
         Engine(c).run(lambda: s1.count == n and s2.count == n, max_cycles=500)
 
+    def test_inorder_variant_is_a_priority_arbiter_with_order_state(self):
+        c, s1, s2, n = two_muls_circuit()
+        w = insert_sharing_wrapper(
+            c, ["m1", "m2"], priority=["m2", "m1"], arbitration="inorder"
+        )
+        arb = c.unit(w.arbiter)
+        assert isinstance(arb, ArbiterMerge)
+        assert arb.priority == [1, 0]
+        assert arb.meta.get("order_state") is True
+        assert w.arbitration == "inorder"
+        # Only the arbiter carries the tag the resource model costs.
+        assert [u.name for u in c.units.values()
+                if u.meta.get("order_state")] == [w.arbiter]
+        Engine(c).run(lambda: s1.count == n and s2.count == n, max_cycles=500)
+
     def test_naive_variant_has_no_credits(self):
         c, s1, s2, n = two_muls_circuit()
         w = insert_sharing_wrapper(c, ["m1", "m2"], use_credits=False)

@@ -42,6 +42,19 @@ def test_shrunk_output_buffer_is_fl002_plus_the_cr001_drift():
     assert "drifted" in report.by_code("CR001")[0].message
 
 
+def test_one_raised_credit_counter_is_one_finding_per_rule():
+    # The count lives only in the counter's ``initial``: raising it by one
+    # breaks Eq. 1 once (FL002), drifts from the decision once (CR001)
+    # and buys a surplus credit (FL004), with no second FL002 for a
+    # stale copy of the count.
+    prep = prepare_circuit("gsum", "crush", scale="small")
+    w = prep.decisions.wrappers[0]
+    prep.circuit.units[w.credit_counters[0]].initial += 1
+    report = lint_prepared(prep)
+    assert _codes(report) == ["CR001", "FL002", "FL004"]
+    assert "Eq. 1" in report.by_code("FL002")[0].message
+
+
 def test_tokenless_loop_backedge_is_fl001_only():
     prep = prepare_circuit("gsum", "crush", scale="small")
     backedge = next(ch for ch in prep.circuit.channels

@@ -47,9 +47,8 @@ def test_cr001_fires_when_credits_exceed_ob_slots(prep):
     assert isinstance(cc, CreditCounter) and isinstance(ob, TransparentFifo)
     cc.initial = ob.slots + 1  # mutation: overcommit the slot
     rep = lint_prepared(prep)
-    # Eq. 1 on the built units is FL002's (which also flags the grant
-    # channel's stale token count); CR001 reports the drift from the
-    # decision record, once.
+    # Eq. 1 on the built units is FL002's; CR001 reports the drift from
+    # the decision record, once.
     assert {d.code for d in rep.errors} == {"CR001", "FL002"}
     assert any("Eq. 1 requires N_CC <= N_OB" in d.message
                for d in rep.by_code("FL002"))

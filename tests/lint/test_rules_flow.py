@@ -73,23 +73,8 @@ def test_fl002_fires_when_an_output_buffer_shrinks(gemm):
     assert any("Eq. 1" in d.message for d in rep.by_code("FL002"))
 
 
-def test_fl002_fires_on_grant_annotation_drift(gemm):
-    # Mutation: the grant channel's token annotation drifts from the
-    # counter's initial credits — the marked-graph abstraction would be
-    # unsound, so the analyzer refuses it loudly.
-    w = _wrapper(gemm)
-    cc = gemm.circuit.units[w.credit_counters[0]]
-    grant = gemm.circuit.out_channel(cc, 0)
-    grant.attrs["tokens"] = cc.initial + 1
-    rep = lint_prepared(gemm)
-    assert any(
-        "grant" in d.message for d in rep.by_code("FL002")
-    ), rep.format()
-
-
 def test_fl003_fires_when_a_credit_is_dropped(gemm):
-    # Mutation: drop one credit (keeping the grant annotation consistent,
-    # so only Eq. 3 is violated, not the abstraction).
+    # Mutation: drop one credit, so only Eq. 3 is violated.
     w = _wrapper(gemm)
     # Pick a slot whose allocation exceeds one credit (occupancy > 0, so
     # Eq. 3 granted ceil(phi) + 1 >= 2 there); dropping one then starves
@@ -99,8 +84,6 @@ def test_fl003_fires_when_a_credit_is_dropped(gemm):
         if (cc := gemm.circuit.units[name]).initial >= 2
     )
     cc.initial -= 1
-    grant = gemm.circuit.out_channel(cc, 0)
-    grant.attrs["tokens"] = cc.initial
     rep = lint_prepared(gemm)
     assert "FL003" in rep.codes()
     assert any("Eq. 3" in d.message for d in rep.by_code("FL003"))
@@ -115,8 +98,6 @@ def test_fl004_fires_when_credits_are_overprovisioned(gemm):
     ob = gemm.circuit.units[w.output_buffers[0]]
     cc.initial += 3
     ob.slots = cc.initial
-    grant = gemm.circuit.out_channel(cc, 0)
-    grant.attrs["tokens"] = cc.initial
     rep = lint_prepared(gemm)
     assert "FL004" in rep.codes()
     assert "FL002" not in rep.codes()

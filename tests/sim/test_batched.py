@@ -20,8 +20,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import critical_cfcs, insert_timing_buffers, place_buffers
-from repro.baselines import inorder_share, naive_share
 from repro.circuit import (
     DataflowCircuit,
     ElasticBuffer,
@@ -32,13 +30,17 @@ from repro.circuit import (
     Sink,
     TransparentFifo,
 )
-from repro.core import crush
 from repro.errors import SimulationError
-from repro.frontend import lower_kernel, simulate_kernel, simulate_kernel_batch
+from repro.frontend import simulate_kernel, simulate_kernel_batch
 from repro.frontend.interp import run_reference
-from repro.frontend.kernels import KERNEL_NAMES, build
+from repro.frontend.kernels import KERNEL_NAMES
 from repro.frontend.runner import default_inputs
-from repro.pipeline import TECHNIQUES, run_technique, run_technique_batch
+from repro.pipeline import (
+    TECHNIQUES,
+    prepare_circuit,
+    run_technique,
+    run_technique_batch,
+)
 from repro.sim import (
     BatchedEngine,
     Memory,
@@ -50,7 +52,6 @@ from repro.sim.codegen import CodegenEngine, generate_source, source_key
 from repro.sim.signal_graph import compile_schedule
 
 PAIRS = [(k, t) for k in KERNEL_NAMES for t in TECHNIQUES]
-SHARE = {"naive": naive_share, "inorder": inorder_share, "crush": crush}
 
 #: Distinct input sets; lane l of a B-lane batch simulates SEEDS[l].
 SEEDS = (7, 11, 13, 17, 19, 23, 29)
@@ -58,15 +59,10 @@ LANE_COUNTS = (1, 2, 7)
 
 
 def _prepare(kernel_name, technique, style="bb"):
-    """Lower one golden configuration exactly like the pipeline does."""
-    kernel = build(kernel_name, scale="small")
-    lowered = lower_kernel(kernel, style=style)
-    circuit = lowered.circuit
-    cfcs = critical_cfcs(circuit)
-    place_buffers(circuit, cfcs)
-    SHARE[technique](circuit, cfcs)
-    insert_timing_buffers(circuit)
-    return lowered
+    """One golden configuration's circuit, built by the pipeline itself."""
+    return prepare_circuit(
+        kernel_name, technique, style=style, scale="small"
+    ).lowered
 
 
 def _lane_memories(kernel, seeds):

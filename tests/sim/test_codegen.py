@@ -22,8 +22,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import critical_cfcs, insert_timing_buffers, place_buffers
-from repro.baselines import inorder_share, naive_share
 from repro.cli import SIM_BACKENDS, main as cli_main
 from repro.circuit import (
     DataflowCircuit,
@@ -37,18 +35,15 @@ from repro.circuit import (
     Sink,
     TransparentFifo,
 )
-from repro.core import crush
 from repro.errors import CombinationalCycleError, ReproError, SimulationError
-from repro.frontend import lower_kernel, simulate_kernel
-from repro.frontend.kernels import KERNEL_NAMES, build
-from repro.pipeline import TECHNIQUES, run_technique
+from repro.frontend import simulate_kernel
+from repro.frontend.kernels import KERNEL_NAMES
+from repro.pipeline import TECHNIQUES, prepare_circuit, run_technique
 from repro.sim import BACKENDS, SimProfile, Trace, create_engine
 from repro.sim.codegen import CodegenEngine
 from repro.sim.signal_graph import compile_schedule
 
 PAIRS = [(k, t) for k in KERNEL_NAMES for t in TECHNIQUES]
-
-SHARE = {"naive": naive_share, "inorder": inorder_share, "crush": crush}
 
 
 @pytest.fixture
@@ -62,15 +57,10 @@ def codegen_cache(tmp_path, monkeypatch):
 
 
 def _prepare(kernel_name, technique, style="bb"):
-    """Lower one golden configuration exactly like the pipeline does."""
-    kernel = build(kernel_name, scale="small")
-    lowered = lower_kernel(kernel, style=style)
-    circuit = lowered.circuit
-    cfcs = critical_cfcs(circuit)
-    place_buffers(circuit, cfcs)
-    SHARE[technique](circuit, cfcs)
-    insert_timing_buffers(circuit)
-    return lowered
+    """One golden configuration's circuit, built by the pipeline itself."""
+    return prepare_circuit(
+        kernel_name, technique, style=style, scale="small"
+    ).lowered
 
 
 def _assert_runs_identical(runs, traces, ref):
@@ -606,7 +596,6 @@ def _leaked_cell_names(circuit, **variant):
 
 def test_paper_scale_3mm_compiles_in_pieces_within_budget():
     import repro.sim.codegen as cg
-    from repro.pipeline import prepare_circuit
 
     circuit = prepare_circuit("3mm", "crush", scale="paper").circuit
     pieces, leaks = _leaked_cell_names(circuit)
@@ -617,16 +606,12 @@ def test_paper_scale_3mm_compiles_in_pieces_within_budget():
 
 
 def test_laned_pieces_bind_every_shared_name_to_a_cell():
-    from repro.pipeline import prepare_circuit
-
     circuit = prepare_circuit("gsumif", "crush", scale="small").circuit
     _pieces, leaks = _leaked_cell_names(circuit, lanes=True)
     assert leaks == {}
 
 
 def test_profiled_pieces_bind_every_shared_name_to_a_cell():
-    from repro.pipeline import prepare_circuit
-
     circuit = prepare_circuit("gsumif", "crush", scale="small").circuit
     _pieces, leaks = _leaked_cell_names(circuit, profiled=True)
     assert leaks == {}

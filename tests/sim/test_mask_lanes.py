@@ -24,8 +24,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import critical_cfcs, insert_timing_buffers, place_buffers
-from repro.baselines import inorder_share, naive_share
 from repro.circuit import (
     Branch,
     DataflowCircuit,
@@ -35,19 +33,17 @@ from repro.circuit import (
     Sequence,
     Sink,
 )
-from repro.core import crush
-from repro.frontend import lower_kernel, simulate_kernel
-from repro.frontend.kernels import KERNEL_NAMES, build
+from repro.frontend import simulate_kernel
+from repro.frontend.kernels import KERNEL_NAMES
 from repro.frontend.runner import default_inputs
 from repro.frontend.interp import run_reference
-from repro.pipeline import TECHNIQUES
+from repro.pipeline import TECHNIQUES, prepare_circuit
 from repro.sim import Memory, create_engine
 from repro.sim.batched import BatchedEngine
 from repro.sim.codegen import generate_source, source_key
 from repro.sim.signal_graph import compile_schedule
 
 PAIRS = [(k, t) for k in KERNEL_NAMES for t in TECHNIQUES]
-SHARE = {"naive": naive_share, "inorder": inorder_share, "crush": crush}
 
 #: Lane counts the issue calls out: small, a byte, and beyond the word
 #: sizes any packed-bool representation would be tempted to assume.
@@ -55,14 +51,10 @@ LANE_COUNTS = (2, 8, 64)
 
 
 def _prepare(kernel_name, technique, style="bb"):
-    kernel = build(kernel_name, scale="small")
-    lowered = lower_kernel(kernel, style=style)
-    circuit = lowered.circuit
-    cfcs = critical_cfcs(circuit)
-    place_buffers(circuit, cfcs)
-    SHARE[technique](circuit, cfcs)
-    insert_timing_buffers(circuit)
-    return lowered
+    """One golden configuration's circuit, built by the pipeline itself."""
+    return prepare_circuit(
+        kernel_name, technique, style=style, scale="small"
+    ).lowered
 
 
 def _lane_memories(kernel, seeds):

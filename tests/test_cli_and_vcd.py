@@ -116,7 +116,7 @@ class TestLintCLI:
                      "--rule", "ST002=off", "--rule", "ST004=error"]) == 0
 
     def test_lint_bad_rule_spec_is_a_clean_error(self, capsys):
-        assert main(["lint", "gsum", "crush", "--rule", "ST002"]) == 1
+        assert main(["lint", "gsum", "crush", "--rule", "ST002"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_lint_exit_codes_for_findings(self, capsys, monkeypatch):
