@@ -42,13 +42,10 @@ def main():
           f"{crush_est.lut:6d} {crush_est.ff:6d} {crush_sim.cycles:7d}")
 
     print("\nCRUSH decisions:")
-    for group in decisions.groups:
-        if len(group) < 2:
-            continue
-        key = decisions.group_key(group)
-        print(f"  group   : {group}")
-        print(f"  priority: {decisions.priorities[key]}")
-        print(f"  credits : {decisions.credits[key]}  (Eq. 3: N_CC = Φ + 1)")
+    for wrapper in decisions.wrappers:
+        print(f"  group   : {wrapper.group}")
+        print(f"  priority: {wrapper.priority}")
+        print(f"  credits : {wrapper.credits}  (Eq. 3: N_CC = Φ + 1)")
     overhead = 100 * (crush_sim.cycles - naive_sim.cycles) / naive_sim.cycles
     print(f"\nDSPs {naive_est.dsp} -> {crush_est.dsp}, "
           f"cycle overhead {overhead:+.1f}% — sharing is almost free "

@@ -35,7 +35,6 @@ from .tokenflow import (
     FlowAnalysis,
     FlowIssue,
     IIMeasurement,
-    WrapperView,
     analyze_circuit,
     measure_predictions,
     wrapper_views,
@@ -62,7 +61,6 @@ __all__ = [
     "PairVerdict",
     "SCCGraph",
     "WeightedEdge",
-    "WrapperView",
     "analyze_circuit",
     "analyze_kernel",
     "break_combinational_cycles",

@@ -35,6 +35,7 @@ from ..circuit import (
     Unit,
 )
 from ..errors import AnalysisError
+from ..resources.timing import is_combinational
 from .cfc import CFC, critical_cfcs
 from .scc import strongly_connected_components
 
@@ -51,17 +52,12 @@ class BufferReport:
         return sum(s for _, s in self.slack_fifos) + 2 * len(self.cycle_breakers)
 
 
-def _is_sequential(unit: Unit) -> bool:
-    """True when the unit registers its output valid (breaks graph cycles)."""
-    return unit.latency >= 1 or unit.initial_tokens >= 1
-
-
 def break_combinational_cycles(circuit: DataflowCircuit) -> List[str]:
     """Insert elastic buffers until no cycle is purely combinational."""
     inserted: List[str] = []
     for _ in range(len(circuit.channels) + 1):
         comb_units = {
-            n for n, u in circuit.units.items() if not _is_sequential(u)
+            n for n, u in circuit.units.items() if is_combinational(u)
         }
         succ: Dict[str, List[str]] = {n: [] for n in comb_units}
         edge_for: Dict[Tuple[str, str], Channel] = {}

@@ -27,10 +27,13 @@ slots, so the plain channel graph contains artifact paths that enter at
 slot *i* and exit at slot *j*: cycles no token ever follows, which would
 produce false deadlock reports and garbage ratios.  The analyzer removes
 the four interior units from the graph and replaces them with one
-virtual edge per slot, ``join_i -> ob_i``, carrying the interior's
-maximum-latency path.  Credit-counter grant edges get one extra cycle of
-latency: the grant comes from the *registered* count (Section 4.3), so a
-credit returned in cycle ``k`` is usable in ``k + 1``.
+virtual edge per slot, ``join_i -> ob_i`` (``lf_i`` once elision
+removed ``ob_i``), carrying the interior's maximum-latency path.
+Credit-counter grant edges get one extra cycle of latency: the grant
+comes from the *registered* count (Section 4.3), so a credit returned in
+cycle ``k`` is usable in ``k + 1``.  The wrappers are the sharing pass'
+own :class:`~repro.core.wrapper.SharingWrapper` records, or records
+rebuilt from the circuit's tags when none covers a wrapper.
 
 The lint layer surfaces the results as rules FL001–FL005
 (:mod:`repro.lint.rules_flow`); ``python -m repro analyze ii`` checks
@@ -87,83 +90,28 @@ MAX_INTERIOR_DEPTH = 50
 
 
 # --------------------------------------------------------------------------
-# Wrapper views: one uniform description of a sharing wrapper, built from
-# the decision record when available, recovered from the live circuit's
-# ``meta["wrapper"]`` tags and deterministic unit names otherwise.
+# Wrapper views: the sharing pass' wrapper records when available, records
+# rebuilt from the live circuit's ``meta["wrapper"]`` tags and
+# deterministic unit names otherwise.
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WrapperView:
-    """A sharing wrapper as the token-flow analyzer sees it."""
+def _wrapper_from_tags(
+    circuit: DataflowCircuit, tag: str
+) -> "Optional[SharingWrapper]":
+    """Rebuild a wrapper's units from its tags: no group, no op type, no
+    decisions.
 
-    base: str
-    shared_unit: str
-    arbiter: str
-    cond_buffer: str
-    branch: str
-    joins: Tuple[str, ...]
-    #: Empty for the naive (uncredited) wrapper.
-    credit_counters: Tuple[str, ...]
-    output_buffers: Tuple[str, ...]
-    lazy_forks: Tuple[str, ...]
-    #: Original operation names, slot-indexed; empty strings when the view
-    #: was recovered from the circuit alone (the rewrite removed the ops).
-    group: Tuple[str, ...]
+    A slot ends at its output buffer, or at its lazy fork once elision
+    removed the buffer; a slot with neither is a mangled wrapper.
+    """
+    from ..core.wrapper import SharingWrapper
 
-    @property
-    def size(self) -> int:
-        return len(self.joins)
-
-    @property
-    def credited(self) -> bool:
-        return bool(self.credit_counters)
-
-    def core_units(self) -> Tuple[str, ...]:
-        """The interior units shared by every slot (removed from graphs)."""
-        return (self.arbiter, self.shared_unit, self.cond_buffer, self.branch)
-
-    def op_name(self, i: int) -> str:
-        """Original op name for slot ``i`` (may be unknown: empty string)."""
-        if i < len(self.group):
-            return self.group[i]
-        return ""
-
-    def slot_label(self, i: int) -> str:
-        return self.op_name(i) or f"{self.base}slot{i}"
-
-
-def _view_from_record(
-    circuit: DataflowCircuit, rec: "SharingWrapper"
-) -> Optional[WrapperView]:
-    """Build a view from one ``SharingWrapper`` decision record."""
-    names = [rec.shared_unit, rec.arbiter, rec.cond_buffer, rec.branch]
-    names += list(rec.joins) + list(rec.output_buffers)
-    if any(n not in circuit.units for n in names):
-        return None  # a later transform removed wrapper units: ST's problem
-    return WrapperView(
-        base=str(circuit.units[rec.arbiter].meta.get("wrapper", rec.arbiter)),
-        shared_unit=rec.shared_unit,
-        arbiter=rec.arbiter,
-        cond_buffer=rec.cond_buffer,
-        branch=rec.branch,
-        joins=tuple(rec.joins),
-        credit_counters=tuple(rec.credit_counters),
-        output_buffers=tuple(rec.output_buffers),
-        lazy_forks=tuple(rec.lazy_forks),
-        group=tuple(rec.group),
-    )
-
-
-def _view_from_tag(circuit: DataflowCircuit, tag: str) -> Optional[WrapperView]:
-    """Recover a view from ``meta["wrapper"]`` tags and name conventions."""
-    members = [
-        name for name, u in circuit.units.items()
-        if u.meta.get("wrapper") == tag and name.startswith(tag)
-    ]
     singles: Dict[str, str] = {}
     slots: Dict[str, Dict[int, str]] = {"join": {}, "cc": {}, "ob": {}, "lf": {}}
-    for name in members:
+    for name, u in circuit.units.items():
+        if u.meta.get("wrapper") != tag or not name.startswith(tag):
+            continue
         suffix = name[len(tag):]
         if suffix in ("arb", "unit", "cond", "branch"):
             singles[suffix] = name
@@ -176,58 +124,56 @@ def _view_from_tag(circuit: DataflowCircuit, tag: str) -> Optional[WrapperView]:
     if any(k not in singles for k in required) or not slots["join"]:
         return None  # mangled wrapper: the structural rules own this
     n = max(slots["join"]) + 1
-    joins = [slots["join"].get(i, "") for i in range(n)]
-    obs = [slots["ob"].get(i, "") for i in range(n)]
-    if any(not j for j in joins) or any(not o for o in obs):
+    joins, ccs, obs, lfs = (
+        [slots[kind].get(i, "") for i in range(n)]
+        for kind in ("join", "cc", "ob", "lf")
+    )
+    if not all(joins) or not all(o or f for o, f in zip(obs, lfs)):
         return None
-    ccs = [slots["cc"].get(i, "") for i in range(n)]
-    lfs = [slots["lf"].get(i, "") for i in range(n)]
-    return WrapperView(
-        base=tag,
+    return SharingWrapper(
+        group=[],
+        op_type="",
         shared_unit=singles["unit"],
         arbiter=singles["arb"],
         cond_buffer=singles["cond"],
         branch=singles["branch"],
-        joins=tuple(joins),
-        credit_counters=tuple(ccs) if all(ccs) else (),
-        output_buffers=tuple(obs),
-        lazy_forks=tuple(lfs) if all(lfs) else (),
-        group=(),
+        joins=joins,
+        credit_counters=ccs if all(ccs) else [],
+        output_buffers=obs,
+        lazy_forks=lfs if all(lfs) else [],
+        credits={},
+        ob_slots={},
+        arbitration="",
+        base=tag,
     )
 
 
 def wrapper_views(
     circuit: DataflowCircuit, decisions: "Optional[SharingResult]" = None
-) -> List[WrapperView]:
-    """All sharing wrappers of ``circuit``, as uniform views.
+) -> "List[SharingWrapper]":
+    """All sharing wrappers of ``circuit``, as wrapper records.
 
     Prefers the decision records (they know the original op names, which
-    slot-to-CFC attribution and the Eq. 3 checks need); wrappers present
-    in the circuit but absent from the records — hand-built circuits,
-    ``decisions=None`` — are recovered from their ``meta["wrapper"]``
-    tags and the deterministic ``<tag><role><i>`` unit names.
+    slot-to-CFC attribution and the Eq. 3 checks need) whose units are
+    all still in the circuit; wrappers no record covers — hand-built
+    circuits, ``decisions=None`` — are rebuilt from their
+    ``meta["wrapper"]`` tags and the deterministic ``<tag><role><i>``
+    unit names, with an empty ``group``.
     """
-    views: List[WrapperView] = []
-    covered: Set[str] = set()
-    for rec in decisions.wrappers if decisions is not None else ():
-        v = _view_from_record(circuit, rec)
-        if v is not None:
-            views.append(v)
-            covered.add(v.base)
-    tags = sorted(
-        {
-            str(u.meta["wrapper"])
-            for u in circuit.units.values()
-            if "wrapper" in u.meta
-        }
-    )
-    for tag in tags:
-        if tag in covered:
-            continue
-        v = _view_from_tag(circuit, tag)
-        if v is not None:
-            views.append(v)
-    views.sort(key=lambda v: v.base)
+    views = [
+        w
+        for w in (decisions.wrappers if decisions is not None else ())
+        if all(name in circuit.units for name in w.all_unit_names())
+    ]
+    covered = {w.base for w in views}
+    tags = {
+        str(u.meta["wrapper"]) for u in circuit.units.values() if "wrapper" in u.meta
+    }
+    for tag in sorted(tags - covered):
+        w = _wrapper_from_tags(circuit, tag)
+        if w is not None:
+            views.append(w)
+    views.sort(key=lambda w: w.base)
     return views
 
 
@@ -293,16 +239,16 @@ class FlowGraph:
     edges: List[WeightedEdge]
     nodes: Set[str]
     #: (wrapper view, slot index) pairs whose slot units are in the graph.
-    slots: List[Tuple[WrapperView, int]]
+    slots: List[Tuple[SharingWrapper, int]]
     #: Slots whose ``join -> ob`` interior path could not be traced.
-    broken_slots: List[Tuple[WrapperView, int]] = field(default_factory=list)
+    broken_slots: List[Tuple[SharingWrapper, int]] = field(default_factory=list)
 
 
 def build_flow_graph(
     circuit: DataflowCircuit,
-    views: Sequence[WrapperView],
+    views: Sequence[SharingWrapper],
     nodes: Set[str],
-    slots: Sequence[Tuple[WrapperView, int]],
+    slots: Sequence[Tuple[SharingWrapper, int]],
 ) -> FlowGraph:
     """Edges over ``nodes`` with wrapper interiors per-slot expanded.
 
@@ -341,8 +287,9 @@ def build_flow_graph(
             if dst:
                 edges.append(WeightedEdge(name, dst, lat, tok))
 
-    # Virtual slot edges join_i -> ob_i through the wrapper interior
-    # (core units plus any spliced passthrough buffers).
+    # Virtual slot edges join_i -> ob_i (lf_i once ob_i is elided) through
+    # the wrapper interior (core units plus any spliced passthrough
+    # buffers).
     graph = FlowGraph(edges=edges, nodes=set(nodes), slots=list(slots))
     splices = {
         name
@@ -351,19 +298,15 @@ def build_flow_graph(
     }
     for view, i in slots:
         interior = frozenset(set(view.core_units()) | splices)
-        path = _interior_path(
-            circuit, view.joins[i], view.output_buffers[i], interior
-        )
+        end = view.slot_end(i)
+        path = _interior_path(circuit, view.joins[i], end, interior)
         if path is None:
             graph.broken_slots.append((view, i))
             continue
         join_unit = circuit.units[view.joins[i]]
         edges.append(
             WeightedEdge(
-                view.joins[i],
-                view.output_buffers[i],
-                join_unit.latency + path[0],
-                path[1],
+                view.joins[i], end, join_unit.latency + path[0], path[1]
             )
         )
 
@@ -377,11 +320,10 @@ def build_flow_graph(
         arb = circuit.units.get(view.arbiter)
         if not isinstance(arb, FixedOrderMerge):
             continue
-        ring: List[str] = []
-        for idx in arb.order:
-            if idx < view.size and view.joins[idx] in nodes:
-                if view.joins[idx] not in ring:
-                    ring.append(view.joins[idx])
+        ring = list(dict.fromkeys(
+            view.joins[idx] for idx in arb.order
+            if idx < view.size and view.joins[idx] in nodes
+        ))
         if len(ring) < 2:
             continue
         for a, b in zip(ring, ring[1:]):
@@ -390,19 +332,13 @@ def build_flow_graph(
     return graph
 
 
-def _slot_in_names(view: WrapperView, i: int, names: Set[str]) -> bool:
-    """Does slot ``i`` of ``view`` belong to a unit-name set (pre-rewrite)?"""
-    op = view.op_name(i)
-    return bool(op) and op in names
-
-
-def _slot_units(view: WrapperView, i: int) -> List[str]:
+def _slot_units(view: SharingWrapper, i: int) -> List[str]:
     units = [view.joins[i], view.output_buffers[i]]
     if view.credit_counters:
         units.append(view.credit_counters[i])
     if view.lazy_forks:
         units.append(view.lazy_forks[i])
-    return units
+    return [u for u in units if u]
 
 
 # --------------------------------------------------------------------------
@@ -457,7 +393,7 @@ class FlowAnalysis:
     circuit: str
     issues: List[FlowIssue] = field(default_factory=list)
     predictions: Dict[str, CFCPrediction] = field(default_factory=dict)
-    views: List[WrapperView] = field(default_factory=list)
+    views: List[SharingWrapper] = field(default_factory=list)
 
     @property
     def deadlock_free(self) -> bool:
@@ -490,7 +426,7 @@ class FlowAnalysis:
 
 def _check_liveness(
     circuit: DataflowCircuit,
-    views: Sequence[WrapperView],
+    views: Sequence[SharingWrapper],
     analysis: FlowAnalysis,
 ) -> None:
     """Marked-graph liveness over the whole expanded circuit, per SCC."""
@@ -507,7 +443,7 @@ def _check_liveness(
                 message=(
                     f"sharing wrapper {view.base!r} slot {i} "
                     f"({view.slot_label(i)}): no interior path from "
-                    f"{view.joins[i]!r} to {view.output_buffers[i]!r}; "
+                    f"{view.joins[i]!r} to {view.slot_end(i)!r}; "
                     "the slot can never produce a result"
                 ),
                 unit=view.joins[i],
@@ -539,7 +475,7 @@ def _check_liveness(
 
 def _check_credits(
     circuit: DataflowCircuit,
-    views: Sequence[WrapperView],
+    views: Sequence[SharingWrapper],
     analysis: FlowAnalysis,
 ) -> None:
     """Structural Eq. 1 on the built units."""
@@ -582,25 +518,18 @@ def _check_credits(
 
 
 def _violated_pairs(
-    view: WrapperView,
-    circuit: DataflowCircuit,
-    decisions: "SharingResult",
+    view: SharingWrapper, circuit: DataflowCircuit
 ) -> List[Tuple[str, str]]:
-    """Recorded must-precede pairs the built arbiter actually violates."""
-    if not view.group:
+    """Recorded must-precede pairs the built arbiter actually violates.
+
+    Fixed-order arbiters are skipped: their grant ring already models
+    their order."""
+    if not isinstance(circuit.units.get(view.arbiter), ArbiterMerge):
         return []
-    arb = circuit.units.get(view.arbiter)
-    if not isinstance(arb, ArbiterMerge):
-        return []
-    pairs = decisions.order_constraints.get("+".join(view.group), ())
-    rank = {
-        view.group[idx]: pos
-        for pos, idx in enumerate(arb.priority)
-        if idx < len(view.group)
-    }
+    rank = {op: pos for pos, op in enumerate(view.built_priority(circuit) or ())}
     return [
         (producer, consumer)
-        for producer, consumer in pairs
+        for producer, consumer in view.order_constraints
         if producer in rank and consumer in rank
         and rank[producer] > rank[consumer]
     ]
@@ -617,13 +546,9 @@ def analyze_circuit(
     ``unit_names`` still contain the shared-away operations, which is how
     wrapper slots are attributed to CFCs); recomputed from the live
     ``meta["cfc"]`` tags when omitted.  ``decisions`` is the sharing
-    pass' result record, enabling op-name attribution and the
-    priority-inversion penalty model; None stands for an empty record.
+    pass' result record, whose wrappers enable op-name attribution and
+    the priority-inversion penalty model.
     """
-    if decisions is None:
-        from ..core.crush import SharingResult
-
-        decisions = SharingResult()
     views = wrapper_views(circuit, decisions)
     analysis = FlowAnalysis(circuit=circuit.name, views=views)
     _check_credits(circuit, views, analysis)
@@ -638,13 +563,11 @@ def analyze_circuit(
         # Per-CFC node set: surviving members plus the slot units of every
         # wrapper slot whose original operation belonged to this CFC.
         nodes = set(live)
-        slots: List[Tuple[WrapperView, int]] = []
+        slots: List[Tuple[SharingWrapper, int]] = []
         contention = 0
         for view in views:
-            in_cfc = [
-                i for i in range(view.size)
-                if _slot_in_names(view, i, prewrite)
-            ]
+            # An unknown op name ("") is never a unit name.
+            in_cfc = [i for i in range(view.size) if view.op_name(i) in prewrite]
             if not in_cfc:
                 continue
             contention = max(contention, len(in_cfc))
@@ -665,7 +588,7 @@ def analyze_circuit(
             join_of = {view.op_name(i): view.joins[i] for i in range(view.size)}
             shared = circuit.units.get(view.shared_unit)
             penalty = max(1, shared.latency if shared is not None else 1)
-            for producer, consumer in _violated_pairs(view, circuit, decisions):
+            for producer, consumer in _violated_pairs(view, circuit):
                 if (
                     join_of.get(producer) in nodes
                     and join_of.get(consumer) in nodes

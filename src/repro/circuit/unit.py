@@ -122,10 +122,6 @@ class Unit:
     n_out: int = 0
     #: sequential latency in cycles as seen by the II analysis.
     latency: int = 0
-    #: initial token count contributed to graph cycles through this unit
-    #: (e.g. an elastic buffer holds slots for tokens; a credit counter
-    #: starts with N credits).  Used by the throughput analysis.
-    initial_tokens: int = 0
 
     def __init__(self, name: str):
         if not name:

@@ -33,7 +33,6 @@ class CreditCounter(Unit):
         self.n_in = 1
         self.n_out = 1
         self.initial = initial
-        self.initial_tokens = initial
         self._count = initial
 
     def reset(self):

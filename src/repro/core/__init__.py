@@ -2,7 +2,7 @@
 
 from .cost import SharingCostModel, default_cost_model
 from .elision import ElisionResult, elide_output_buffers
-from .credits import allocate_credits, credits_for_op, output_buffer_slots
+from .credits import allocate_credits, credits_for_op
 from .crush import SharingResult, crush
 from .groups import (
     check_r1,
@@ -30,7 +30,6 @@ __all__ = [
     "crush",
     "default_cost_model",
     "insert_sharing_wrapper",
-    "output_buffer_slots",
     "sharing_candidates",
     "sharing_groups",
 ]

@@ -52,13 +52,16 @@ def default_cost_model() -> SharingCostModel:
 
     A unit's cost is its DSP count weighted heavily (DSPs are the scarce
     resource on the paper's Kintex-7 target: 600 DSPs vs. 101k LUTs) plus
-    its LUT/FF cost; the wrapper's cost is the summed LUT/FF cost of its
-    dataflow units.  Imported lazily to keep ``repro.core`` free of a hard
-    dependency on the resource library.
+    its LUT/FF cost; the wrapper's cost is the summed LUT/FF cost of the
+    dataflow units :func:`~repro.core.wrapper.insert_sharing_wrapper`
+    builds (:func:`~repro.core.standalone.wrapper_cost`).  Imported lazily
+    to keep ``repro.core`` free of a hard dependency on the resource
+    library.
     """
-    from ..resources.library import unit_equivalent_cost, wrapper_equivalent_cost
+    from ..resources.library import unit_equivalent_cost
+    from .standalone import wrapper_cost
 
     return SharingCostModel(
         unit_cost=unit_equivalent_cost,
-        wrapper_cost=wrapper_equivalent_cost,
+        wrapper_cost=wrapper_cost,
     )

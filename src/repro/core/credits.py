@@ -8,8 +8,9 @@ where ``Φ_op = lat_op / II`` is the operation's token occupancy.  ``Φ_op``
 credits keep the shared unit as full as the pre-sharing pipeline was; the
 extra credit hides the one-cycle credit-return latency and covers the token
 that waits in the output buffer for its (arbitration-delayed) successor.
-Output buffers get ``N_OB = N_CC`` slots, the tightest sizing that honors
-the deadlock-freedom constraint of Equation 1.
+Output buffers get ``N_OB = N_CC`` slots (the wrapper builder's default),
+the tightest sizing that honors the deadlock-freedom constraint of
+Equation 1.
 
 Occupancies are fractional; credits are physical tokens, so we allocate
 ``ceil(Φ_op) + 1``.
@@ -34,8 +35,3 @@ def allocate_credits(
 ) -> Dict[str, int]:
     """Per-operation initial credit counts for one sharing group."""
     return {op: credits_for_op(occupancies.get(op, Fraction(0))) for op in group}
-
-
-def output_buffer_slots(credits: Mapping[str, int]) -> Dict[str, int]:
-    """``N_OB = N_CC`` (Equation 1 met with equality, as in Figure 3)."""
-    return dict(credits)

@@ -11,12 +11,14 @@ dataflow circuit and its performance-critical CFCs,
 5. rewrite the circuit, replacing each multi-operation group with a
    credit-based sharing wrapper.
 
-The result records every decision plus the measured optimization time, the
-quantity the paper's Tables 2-3 report in the ``Opt. time`` column.  The
-record (:class:`SharingResult`) and the rewrite of steps 3-5
-(:func:`insert_wrappers`) are the baselines' too: Naive returns an empty
-record, and In-order (:mod:`repro.baselines.inorder`) runs the same pass
-with its own merge test, access order and arbiter.
+The result records the groups, one :class:`SharingWrapper` per shared
+group (its priority, credits, buffers, must-precede pairs and load), and
+the measured optimization time, the quantity the paper's Tables 2-3
+report in the ``Opt. time`` column.  The record (:class:`SharingResult`)
+and the rewrite of steps 3-5 (:func:`insert_wrappers`) are the
+baselines' too: Naive returns an empty record, and In-order
+(:mod:`repro.baselines.inorder`) runs the same pass with its own merge
+test, access order and arbiter.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..analysis import (
     CFC,
@@ -36,7 +38,7 @@ from ..analysis import (
 )
 from ..circuit import DataflowCircuit
 from .cost import SharingCostModel, default_cost_model
-from .credits import allocate_credits, output_buffer_slots
+from .credits import allocate_credits
 from .groups import sharing_groups
 from .priority import access_priority, priority_constraints
 from .wrapper import SharingWrapper, insert_sharing_wrapper
@@ -47,26 +49,13 @@ class SharingResult:
     """Everything a sharing pass (Naive, In-order or CRUSH) decided and did.
 
     Naive records no groups; In-order and CRUSH record every candidate's
-    group, singletons included, and the per-group decisions below for
-    the groups they shared.
+    group, singletons included, and one :class:`SharingWrapper` per group
+    they shared, which holds that group's decisions.
     """
 
     groups: List[List[str]] = field(default_factory=list)
-    priorities: Dict[str, List[str]] = field(default_factory=dict)
-    credits: Dict[str, Dict[str, int]] = field(default_factory=dict)
     wrappers: List[SharingWrapper] = field(default_factory=list)
     occupancies: Dict[str, Fraction] = field(default_factory=dict)
-    #: Per group key: the Algorithm-2 must-precede pairs the access
-    #: priority has to honor (recorded at decision time, before the
-    #: rewrite removes the grouped units — ``repro.lint`` rule CR002
-    #: checks the built arbiters against these).
-    order_constraints: Dict[str, List[Tuple[str, str]]] = field(
-        default_factory=dict
-    )
-    #: Per group key: the worst-case (max over CFCs) summed steady-state
-    #: occupancy of the group — rule R2's left-hand side, re-checked by
-    #: ``repro.lint`` rule CR003 against the live shared unit's capacity.
-    group_load: Dict[str, Fraction] = field(default_factory=dict)
     opt_time_s: float = 0.0
     #: Global re-analyses the In-order merge test ran (0 for the others).
     evaluations: int = 0
@@ -77,9 +66,6 @@ class SharingResult:
 
     def shared_groups(self) -> List[List[str]]:
         return [g for g in self.groups if len(g) > 1]
-
-    def group_key(self, group: Sequence[str]) -> str:
-        return "+".join(group)
 
 
 def insert_wrappers(
@@ -92,19 +78,15 @@ def insert_wrappers(
     """Rewrite every shared group of ``result`` into a sharing wrapper.
 
     Per group: the access order ``access_order(group, cfcs)``, Eq. 3
-    credits, Eq. 1 output buffers and the decision-time records, then
-    the wrapper itself (:func:`insert_sharing_wrapper` with
-    ``arbitration``).  Everything is recorded in ``result``.
+    credits, then the wrapper itself (:func:`insert_sharing_wrapper` with
+    ``arbitration``, whose output buffers default to N_OB = N_CC, Eq. 1).
+    Each wrapper's record is appended to ``result.wrappers``.
     """
     for group in result.shared_groups():
-        key = result.group_key(group)
-        # Decision-time records for the static lint layer: the rewrite
-        # below removes the grouped units, so anything that needs the
-        # pre-rewrite graph must be captured now.
-        result.priorities[key] = access_order(group, cfcs)
-        result.credits[key] = allocate_credits(group, result.occupancies)
-        result.order_constraints[key] = priority_constraints(group, cfcs)
-        result.group_load[key] = max(
+        # Algorithm 2's must-precede pairs and rule R2's group load need
+        # the grouped units, which the rewrite removes: take them first.
+        order_constraints = priority_constraints(group, cfcs)
+        group_load = max(
             (
                 group_occupancy_in_cfc(circuit, group, cfc)
                 for cfc in cfcs
@@ -112,16 +94,16 @@ def insert_wrappers(
             ),
             default=Fraction(0),
         )
-        result.wrappers.append(
-            insert_sharing_wrapper(
-                circuit,
-                group,
-                priority=result.priorities[key],
-                credits=result.credits[key],
-                ob_slots=output_buffer_slots(result.credits[key]),
-                arbitration=arbitration,
-            )
+        wrapper = insert_sharing_wrapper(
+            circuit,
+            group,
+            priority=access_order(group, cfcs),
+            credits=allocate_credits(group, result.occupancies),
+            arbitration=arbitration,
         )
+        wrapper.order_constraints = order_constraints
+        wrapper.group_load = group_load
+        result.wrappers.append(wrapper)
     if result.wrappers:
         # When grouped operations feed each other, the wrapper's output path
         # (transparent OB, lazy fork) loops combinationally back into its

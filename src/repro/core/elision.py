@@ -19,7 +19,10 @@ This pass does exactly that, with two proof engines:
 
 Either way, removal preserves Equation 1's spirit: with the buffer gone,
 the head-of-line token waits at the branch — which is safe exactly when
-the consumer can always drain it.
+the consumer can always drain it.  The wrapper's record keeps its slots
+aligned: an elided buffer leaves ``""`` in ``output_buffers``, so the lint
+audit and the token-flow analysis still pair slot ``i`` with its
+operation, join and credit counter.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def elide_output_buffers(
         raise SharingError(f"unknown elision mode {mode!r}")
     result = ElisionResult(mode=mode)
     for wrapper in wrappers:
-        for ob_name in list(wrapper.output_buffers):
+        for i, ob_name in enumerate(wrapper.output_buffers):
             if ob_name not in circuit.units:
                 continue
             if mode == "structural":
@@ -96,7 +99,8 @@ def elide_output_buffers(
                 ok = _verified_safe(circuit, ob_name, max_states)
             if ok:
                 _splice_out_buffer(circuit, ob_name)
-                wrapper.output_buffers.remove(ob_name)
+                # The slot keeps its place, so the slots stay aligned.
+                wrapper.output_buffers[i] = ""
                 result.removed.append(ob_name)
             else:
                 result.kept.append(ob_name)

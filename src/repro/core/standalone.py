@@ -4,16 +4,19 @@ The paper's Figures 9 and 10 synthesize the sharing wrapper *in isolation*
 (each building block of Figure 3 on its own) to characterize its cost as
 the group size grows.  This module builds exactly that: ``|G|`` operations
 of one type fed by independent streams, wrapped by the requested strategy,
-with per-component resource breakdowns.
+with per-component resource breakdowns.  The same wrapper, with two
+credits per operation, defines Equation 2's ``C_WP`` (:func:`wrapper_cost`).
 """
 
 from __future__ import annotations
 
-import math
+import functools
+from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from ..circuit import DataflowCircuit, FunctionalUnit, Sequence, Sink, op_spec
-from ..resources import Resources, estimate_units, unit_resources
+from ..resources import Resources, equivalent_cost, estimate_units, unit_resources
+from .credits import credits_for_op
 from .wrapper import SharingWrapper, insert_sharing_wrapper
 
 
@@ -37,9 +40,27 @@ def build_standalone_group(
 
 
 def paper_credits(n: int, op: str = "fadd") -> int:
-    """Figure 10's credit sizing: Φ_op = lat_op / |G|, N_CC = ceil(Φ)+1."""
-    lat = op_spec(op).latency
-    return max(1, math.ceil(lat / max(1, n)) + 1)
+    """Figure 10's credit sizing: Eq. 3 with Φ_op = lat_op / |G|."""
+    return credits_for_op(Fraction(op_spec(op).latency, n))
+
+
+@functools.lru_cache(maxsize=None)
+def wrapper_cost(op: str, n: int) -> float:
+    """``C_WP(|G|)`` of Equation 2: the equivalent cost of the wrapper
+    :func:`insert_sharing_wrapper` builds around ``n`` standalone ``op``
+    units with two credits (and so two output-buffer slots) each, the
+    typical Equation-3 allocation of the paper's workloads.  The shared
+    unit is ``C_T``'s, not the wrapper's.  A group of one needs no
+    wrapper and costs 0."""
+    if n < 2:
+        return 0.0
+    c, names = build_standalone_group(n, op)
+    w = insert_sharing_wrapper(c, names, credits=dict.fromkeys(names, 2))
+    return equivalent_cost(
+        estimate_units(
+            c.units[name] for name in w.all_unit_names() if name != w.shared_unit
+        )
+    )
 
 
 def build_shared_standalone(

@@ -29,12 +29,19 @@ order-induced deadlock and to model the prior work's behaviour.
 
 Each counter's credit count is stored once, as its ``initial``; the
 analyses read a grant edge's circulating tokens from there.
+
+The returned :class:`SharingWrapper` is the one description of a shared
+group: the units built, the decisions they were built from, and the
+decision-time facts the sharing pass adds (Algorithm 2's must-precede
+pairs, rule R2's group load).  The lint audit, the token-flow analyzer,
+Equation 2's wrapper cost and output-buffer elision all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit import (
     ArbiterMerge,
@@ -53,7 +60,16 @@ from ..errors import SharingError
 
 @dataclass
 class SharingWrapper:
-    """Record of one inserted wrapper (consumed by resource estimation)."""
+    """One shared group: the wrapper units built and what they were
+    built from.
+
+    Slot ``i`` pairs ``group[i]`` with ``joins[i]``, ``credit_counters[i]``,
+    ``output_buffers[i]`` and ``lazy_forks[i]``; an output buffer removed by
+    elision leaves ``""`` in its slot, which then ends at its lazy fork.
+    A wrapper recovered from the circuit's tags alone names its units
+    only: its ``group``, ``op_type``, ``arbitration`` and decisions are
+    empty.
+    """
 
     group: List[str]
     op_type: str
@@ -62,25 +78,67 @@ class SharingWrapper:
     cond_buffer: str
     branch: str
     joins: List[str]
+    #: Empty for the naive (uncredited) wrapper.
     credit_counters: List[str]
     output_buffers: List[str]
     lazy_forks: List[str]
     credits: Dict[str, int]
     ob_slots: Dict[str, int]
     arbitration: str = "priority"
+    #: The ``meta["wrapper"]`` tag of every unit of this wrapper.
+    base: str = ""
+    #: The decided access order, highest priority first (Algorithm 2).
+    priority: List[str] = field(default_factory=list)
+    #: Algorithm 2's must-precede ``(producer, consumer)`` pairs, recorded
+    #: by the sharing pass before the rewrite removed the grouped units.
+    order_constraints: List[Tuple[str, str]] = field(default_factory=list)
+    #: Worst-case (max over CFCs) summed occupancy of the group — rule
+    #: R2's left-hand side; None when no sharing pass decided the group.
+    group_load: Optional[Fraction] = None
 
     @property
     def size(self) -> int:
-        return len(self.group)
+        return len(self.joins)
+
+    @property
+    def credited(self) -> bool:
+        return bool(self.credit_counters)
+
+    def core_units(self) -> List[str]:
+        """The interior units every slot shares."""
+        return [self.arbiter, self.shared_unit, self.cond_buffer, self.branch]
 
     def all_unit_names(self) -> List[str]:
-        return (
-            [self.shared_unit, self.arbiter, self.cond_buffer, self.branch]
-            + self.joins
-            + self.credit_counters
-            + self.output_buffers
-            + self.lazy_forks
-        )
+        """Every unit of the wrapper, elided output buffers left out."""
+        slots = self.joins + self.credit_counters + self.output_buffers
+        return [n for n in self.core_units() + slots + self.lazy_forks if n]
+
+    def op_name(self, i: int) -> str:
+        """Original operation of slot ``i`` (``""`` when unknown)."""
+        return self.group[i] if i < len(self.group) else ""
+
+    def slot_label(self, i: int) -> str:
+        return self.op_name(i) or f"{self.base}slot{i}"
+
+    def slot_end(self, i: int) -> str:
+        """Where slot ``i``'s result leaves the wrapper: its output
+        buffer, or its lazy fork once the buffer is elided."""
+        if self.output_buffers[i] or not self.lazy_forks:
+            return self.output_buffers[i]
+        return self.lazy_forks[i]
+
+    def built_priority(self, circuit: DataflowCircuit) -> Optional[List[str]]:
+        """The built arbiter's access order, highest priority first, as
+        operation names; None when the arbiter is gone.  A fixed-order
+        arbiter ranks each slot by its first grant."""
+        arb = circuit.units.get(self.arbiter)
+        if isinstance(arb, ArbiterMerge):
+            order = arb.priority
+        elif isinstance(arb, FixedOrderMerge):
+            order = list(dict.fromkeys(arb.order))
+        else:
+            return None
+        return [self.group[i] for i in order if 0 <= i < len(self.group)]
 
 
 def check_credit_constraint(credits: Dict[str, int], ob_slots: Dict[str, int]) -> None:
@@ -255,6 +313,8 @@ def insert_sharing_wrapper(
         credits=credits,
         ob_slots=ob_slots,
         arbitration=arbitration,
+        base=base,
+        priority=list(priority),
     )
     for uname in wrapper.all_unit_names():
         circuit.units[uname].meta["wrapper"] = base

@@ -10,25 +10,21 @@ CR003    sharing group violates Algorithm 1's R1/R2/R3 merge rules
 =======  ==================================================================
 
 The decision record (:class:`~repro.core.crush.SharingResult`, one shape
-for Naive, In-order and CRUSH) holds what only decision time knows: the
-credits and output-buffer slots the pass chose, Algorithm 2's
-must-precede pairs and rule R2's group load, captured *before* the
-rewrite removes the grouped units.  Eq. 1 and the uncredited (naive)
-slot on the built wrapper units are ``FL002``'s, which needs no record.
+for Naive, In-order and CRUSH) holds one
+:class:`~repro.core.wrapper.SharingWrapper` per shared group, and each
+holds what only decision time knows: the access priority, credits and
+output-buffer slots the pass chose, Algorithm 2's must-precede pairs and
+rule R2's group load, captured *before* the rewrite removes the grouped
+units.  Eq. 1 and the uncredited (naive) slot on the built wrapper units
+are ``FL002``'s, which needs no record.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Callable
 
 from ..analysis.occupancy import unit_capacity
-from ..circuit import (
-    ArbiterMerge,
-    CreditCounter,
-    DataflowCircuit,
-    FixedOrderMerge,
-    TransparentFifo,
-)
+from ..circuit import CreditCounter, TransparentFifo
 from ..core.groups import check_r1, check_r2, check_r3
 from .registry import LintContext, rule
 
@@ -54,8 +50,8 @@ def check_credit_overcommit(ctx: LintContext, emit: Emit) -> None:
     # built (a later transform resizing either side re-opens Eq. 1).
     for w in ctx.decisions.wrappers:
         for i, op in enumerate(w.group):
-            dec_cc = (w.credits or {}).get(op)
-            dec_ob = (w.ob_slots or {}).get(op)
+            dec_cc = w.credits.get(op)
+            dec_ob = w.ob_slots.get(op)
             if dec_cc is not None and dec_ob is not None and dec_cc > dec_ob:
                 emit(
                     f"decision record for group {'+'.join(w.group)}: "
@@ -76,43 +72,19 @@ def check_credit_overcommit(ctx: LintContext, emit: Emit) -> None:
                         f"{dec_cc} for {op!r}",
                         unit=cc.name,
                     )
-            if i < len(w.output_buffers):
-                ob = ctx.circuit.units.get(w.output_buffers[i])
-                if (
-                    isinstance(ob, TransparentFifo)
-                    and dec_ob is not None
-                    and ob.slots != dec_ob
-                ):
-                    emit(
-                        f"{ob.describe()}: live capacity {ob.slots} "
-                        f"drifted from the decided N_OB = {dec_ob} "
-                        f"for {op!r}",
-                        unit=ob.name,
-                    )
-
-
-def _live_priority_names(
-    circuit: DataflowCircuit, w: Any
-) -> Optional[List[str]]:
-    """The arbitration order actually built, highest priority first, as
-    operation names — or None when the arbiter is gone/unknown."""
-    arb = circuit.units.get(w.arbiter)
-    if isinstance(arb, ArbiterMerge):
-        order_idx = arb.priority
-    elif isinstance(arb, FixedOrderMerge):
-        # First grant occurrence defines the rank of each input.
-        seen: List[int] = []
-        for i in arb.order:
-            if i not in seen:
-                seen.append(i)
-        order_idx = seen
-    else:
-        return None
-    names: List[str] = []
-    for i in order_idx:
-        if 0 <= i < len(w.group):
-            names.append(w.group[i])
-    return names
+            # An elided output buffer ("") has no capacity to drift.
+            ob = ctx.circuit.units.get(w.output_buffers[i])
+            if (
+                isinstance(ob, TransparentFifo)
+                and dec_ob is not None
+                and ob.slots != dec_ob
+            ):
+                emit(
+                    f"{ob.describe()}: live capacity {ob.slots} "
+                    f"drifted from the decided N_OB = {dec_ob} "
+                    f"for {op!r}",
+                    unit=ob.name,
+                )
 
 
 @rule(
@@ -131,11 +103,11 @@ def check_priority_order(ctx: LintContext, emit: Emit) -> None:
     permutation against them, plus drift against the recorded list."""
     for w in ctx.decisions.wrappers:
         key = "+".join(w.group)
-        live = _live_priority_names(ctx.circuit, w)
+        live = w.built_priority(ctx.circuit)
         if live is None or len(live) != len(w.group):
             continue  # arbiter missing/mangled: ST001's problem
         rank = {op: i for i, op in enumerate(live)}
-        for a, b in ctx.decisions.order_constraints.get(key, ()):
+        for a, b in w.order_constraints:
             if a in rank and b in rank and rank[a] > rank[b]:
                 emit(
                     f"sharing group {key}: access priority ranks consumer "
@@ -144,11 +116,10 @@ def check_priority_order(ctx: LintContext, emit: Emit) -> None:
                     "topological order Algorithm 2 requires",
                     unit=w.arbiter,
                 )
-        dec = ctx.decisions.priorities.get(key)
-        if dec and list(dec) != list(live):
+        if w.priority and w.priority != live:
             emit(
                 f"sharing group {key}: built arbitration order {live} "
-                f"drifted from the decided priority {list(dec)}",
+                f"drifted from the decided priority {w.priority}",
                 unit=w.arbiter,
             )
 
@@ -168,50 +139,44 @@ def check_merge_rules(ctx: LintContext, emit: Emit) -> None:
     when the grouped units are still in the circuit (pre-rewrite lint);
     after the rewrite, the recorded worst-case group load is re-checked
     against the live shared unit's capacity (R2's inequality)."""
-    decisions = ctx.decisions
-    groups = [g for g in decisions.groups if len(g) > 1]
-    if not groups:
-        return
-    wrappers = {"+".join(w.group): w for w in decisions.wrappers}
     c = ctx.circuit
-    for group in groups:
+    for group in ctx.decisions.shared_groups():
+        if not all(op in c.units for op in group):
+            continue  # rewritten: its wrapper's record is checked below
         key = "+".join(group)
-        if all(op in c.units for op in group):
-            # Pre-rewrite: the full Algorithm-1 checks run directly.
-            if not check_r1(c, group):
-                emit(
-                    f"sharing group {key}: members differ in operation "
-                    "type or latency (rule R1)",
-                )
-                continue
-            for cfc in ctx.cfcs:
-                if not check_r2(c, group, cfc, ctx.occupancies):
-                    emit(
-                        f"sharing group {key}: summed occupancy in CFC "
-                        f"{cfc.name!r} exceeds the unit capacity "
-                        "(rule R2)",
-                    )
-                if not check_r3(c, group, cfc):
-                    emit(
-                        f"sharing group {key}: two members sit at equal "
-                        f"maximum simple distance within an SCC of CFC "
-                        f"{cfc.name!r} — out-of-order token hazard "
-                        "(rule R3)",
-                    )
-            continue
-        # Post-rewrite: members are gone; re-check R2 from the records.
-        w = wrappers.get(key)
-        load = decisions.group_load.get(key)
-        if w is None or load is None:
-            continue
-        shared = c.units.get(w.shared_unit)
-        if shared is None:
-            continue  # ST001/ST004 territory
-        capacity = unit_capacity(shared)
-        if load > capacity:
+        if not check_r1(c, group):
             emit(
-                f"sharing group {key}: recorded worst-case occupancy "
-                f"{load} exceeds shared unit {w.shared_unit!r} capacity "
-                f"{capacity} (rule R2); the merge overloads the unit",
+                f"sharing group {key}: members differ in operation "
+                "type or latency (rule R1)",
+            )
+            continue
+        for cfc in ctx.cfcs:
+            if not check_r2(c, group, cfc, ctx.occupancies):
+                emit(
+                    f"sharing group {key}: summed occupancy in CFC "
+                    f"{cfc.name!r} exceeds the unit capacity "
+                    "(rule R2)",
+                )
+            if not check_r3(c, group, cfc):
+                emit(
+                    f"sharing group {key}: two members sit at equal "
+                    f"maximum simple distance within an SCC of CFC "
+                    f"{cfc.name!r} — out-of-order token hazard "
+                    "(rule R3)",
+                )
+    # Post-rewrite: the members are gone; re-check R2 from the records.
+    for w in ctx.decisions.wrappers:
+        shared = c.units.get(w.shared_unit)
+        if w.group_load is None or shared is None:
+            continue  # undecided, or ST001/ST004 territory
+        if all(op in c.units for op in w.group):
+            continue  # not rewritten: checked directly above
+        capacity = unit_capacity(shared)
+        if w.group_load > capacity:
+            emit(
+                f"sharing group {'+'.join(w.group)}: recorded worst-case "
+                f"occupancy {w.group_load} exceeds shared unit "
+                f"{w.shared_unit!r} capacity {capacity} (rule R2); the "
+                "merge overloads the unit",
                 unit=w.shared_unit,
             )

@@ -11,7 +11,6 @@ from .library import (
     functional_unit_resources,
     unit_equivalent_cost,
     unit_resources,
-    wrapper_equivalent_cost,
 )
 from .timing import critical_path_ns
 
@@ -30,5 +29,4 @@ __all__ = [
     "slice_estimate",
     "unit_equivalent_cost",
     "unit_resources",
-    "wrapper_equivalent_cost",
 ]

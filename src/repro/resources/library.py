@@ -240,32 +240,3 @@ def equivalent_cost(res: Resources) -> float:
 def unit_equivalent_cost(op_type: str) -> float:
     """``C_T`` of Equation 2: one shared unit's scalar cost."""
     return equivalent_cost(functional_unit_resources(op_type))
-
-
-def wrapper_equivalent_cost(op_type: str, size: int) -> float:
-    """``C_WP(|G|)`` of Equation 2: scalar cost of a size-``size`` wrapper.
-
-    Approximates the wrapper built by :func:`insert_sharing_wrapper` with
-    two credits (and two OB slots) per operation — the typical Equation-3
-    allocation for the paper's workloads.
-    """
-    if size < 2:
-        return 0.0
-    total = Resources()
-    n_cc = 2
-    total += Resources(6 * size + (W * (size - 1)) // 2 + 12, 4, 0)  # arbiter
-    total += Resources(26 + 9 * (n_cc * size) + W // 2, n_cc * size * 3 + 4, 0)  # cond
-    total += Resources(4 * size + W // 4 + 8, 0, 0)  # branch/demux
-    per_op = (
-        Resources(2 * 3 + 2, 0, 0)  # join (2 operands + credit)
-        + Resources(8, 3, 0)  # credit counter
-        + Resources(26 + 9 * n_cc + W // 2, n_cc * (W + 1) + 4, 0)  # OB
-        + Resources(6, 0, 0)  # lazy fork
-    )
-    total += per_op.scaled(size)
-    scaled = Resources(
-        int(round(total.lut * DATAFLOW_LUT_SCALE)),
-        int(round(total.ff * DATAFLOW_FF_SCALE)),
-        total.dsp,
-    )
-    return equivalent_cost(scaled)

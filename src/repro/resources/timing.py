@@ -13,16 +13,22 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..circuit import DataflowCircuit
+from ..circuit import CreditCounter, DataflowCircuit, Unit
 from ..errors import AnalysisError
 from .library import BASE_PATH_OVERHEAD_NS, comb_delay, stage_delay
+
+
+def is_combinational(unit: Unit) -> bool:
+    """Does the unit pass handshakes through within the cycle?  Latency
+    0 and not a credit counter, whose grant reads its registered count."""
+    return unit.latency < 1 and not isinstance(unit, CreditCounter)
 
 
 def longest_comb_chain(
     circuit: DataflowCircuit, delays: Optional[Dict[str, float]] = None
 ) -> Optional[Tuple[float, List[str]]]:
-    """Longest-chain DP over the combinational units (latency < 1, no
-    initial tokens, at least one input).
+    """Longest-chain DP over the combinational units
+    (:func:`is_combinational`, at least one input).
 
     Returns the worst chain's total delay and unit path, ``(0.0, [])``
     when there is no chain, or ``None`` when the combinational units form
@@ -37,7 +43,7 @@ def longest_comb_chain(
     succ: Dict[str, List[str]] = {
         n: []
         for n, u in circuit.units.items()
-        if u.latency < 1 and u.initial_tokens < 1 and u.n_in > 0
+        if is_combinational(u) and u.n_in > 0
     }
     indeg: Dict[str, int] = dict.fromkeys(succ, 0)
     for ch in circuit.channels:

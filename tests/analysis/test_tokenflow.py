@@ -34,19 +34,22 @@ class TestWrapperViews:
             assert all(op in "+".join(v.group) for op in v.group)
             assert v.shared_unit in gemm_crush.circuit.units
 
-    def test_views_recovered_from_tags_alone(self, gemm_crush):
-        # Without the decision record the wrapper structure is recovered
-        # from unit name tags; group names are unknown (empty strings).
-        with_dec = wrapper_views(gemm_crush.circuit, gemm_crush.decisions)
-        bare = wrapper_views(gemm_crush.circuit, None)
-        assert len(bare) == len(with_dec)
-        by_base = {v.base: v for v in bare}
-        for v in with_dec:
-            b = by_base[v.base]
-            assert b.size == v.size
-            assert b.joins == v.joins
-            assert b.output_buffers == v.output_buffers
-            assert not any(b.group)
+    @pytest.mark.parametrize("kernel,technique", ALL_PAIRS,
+                             ids=[f"{k}-{t}" for k, t in ALL_PAIRS])
+    def test_views_recovered_from_tags_alone(self, kernel, technique):
+        # The sharing pass' records are the views; without them each
+        # wrapper is rebuilt from its unit tags: the same units, no group.
+        prep = prepare_circuit(kernel, technique, scale="small")
+        records = wrapper_views(prep.circuit, prep.decisions)
+        assert records == sorted(prep.decisions.wrappers, key=lambda w: w.base)
+        bare = wrapper_views(prep.circuit, None)
+        assert [b.base for b in bare] == [w.base for w in records]
+        for b, w in zip(bare, records):
+            assert b.group == []
+            for name in ("shared_unit", "arbiter", "cond_buffer", "branch",
+                         "joins", "credit_counters", "output_buffers",
+                         "lazy_forks"):
+                assert getattr(b, name) == getattr(w, name), name
 
 
 class TestStaticAnalysis:

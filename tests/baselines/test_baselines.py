@@ -10,7 +10,7 @@ from repro.baselines import (
     total_order_of,
 )
 from repro.circuit import FunctionalUnit
-from repro.core import SharingResult, crush
+from repro.core import SharingResult, allocate_credits, crush
 from repro.frontend import lower_kernel, simulate_kernel
 from repro.frontend.kernels import build
 
@@ -142,8 +142,10 @@ class TestOneSharingPass:
         shared = res.shared_groups()
         assert shared and len(res.wrappers) == len(shared)
         for group, w in zip(shared, res.wrappers):
-            key = res.group_key(group)
-            assert res.priorities[key] == total_order_of(group, cfcs)
-            assert w.credits == res.credits[key]
-            assert key in res.order_constraints and key in res.group_load
+            assert w.group == group
+            assert w.priority == total_order_of(group, cfcs)
+            assert w.credits == allocate_credits(group, res.occupancies)
+            assert w.group_load is not None
+            assert all(a in group and b in group
+                       for a, b in w.order_constraints)
             assert w.arbitration == "inorder"

@@ -16,6 +16,7 @@ from repro.circuit import (
     StorePort,
 )
 from repro.errors import CircuitError, SimulationError
+from repro.resources.timing import is_combinational
 from repro.sim import Engine, Memory
 
 
@@ -112,8 +113,13 @@ class TestCreditCounter:
         with pytest.raises(CircuitError):
             CreditCounter("cc", 0)
 
-    def test_initial_tokens_annotation(self):
-        assert CreditCounter("cc", 3).initial_tokens == 3
+    def test_counter_is_not_combinational(self):
+        # Latency 0, yet the grant reads the registered count: buffer
+        # placement and the CP estimate both treat the counter as a
+        # register.
+        cc = CreditCounter("cc", 3)
+        assert cc.latency == 0 and not is_combinational(cc)
+        assert is_combinational(Join("j", 2))
 
 
 class TestMemoryPorts:

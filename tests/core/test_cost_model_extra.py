@@ -35,14 +35,11 @@ class TestEquation2Systemic:
     def test_dsp_weight_drives_fp_sharing(self):
         """Even if the wrapper's LUT cost exceeded the fmul's LUTs, the DSP
         weight keeps the merge profitable — DSPs are the scarce resource."""
-        from repro.resources import (
-            DSP_WEIGHT,
-            unit_equivalent_cost,
-            wrapper_equivalent_cost,
-        )
+        from repro.core.standalone import wrapper_cost
+        from repro.resources import DSP_WEIGHT, unit_equivalent_cost
 
         fmul_cost = unit_equivalent_cost("fmul")
         assert fmul_cost > DSP_WEIGHT * 3 * 0.9  # DSP term dominates
         for n in range(2, 12):
             saved = fmul_cost * (n - 1)
-            assert wrapper_equivalent_cost("fmul", n) < saved
+            assert wrapper_cost("fmul", n) < saved

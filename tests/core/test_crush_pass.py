@@ -31,11 +31,18 @@ class TestCrushPass:
         res = crush(low.circuit, cfcs)
         assert res.units_removed() > 0
         assert res.shared_groups()
-        for g in res.shared_groups():
-            key = res.group_key(g)
-            assert sorted(res.priorities[key]) == sorted(g)
-            assert set(res.credits[key]) == set(g)
-            assert all(v >= 1 for v in res.credits[key].values())
+        # One wrapper record per shared group holds the group's decisions.
+        assert [w.group for w in res.wrappers] == res.shared_groups()
+        for w in res.wrappers:
+            assert sorted(w.priority) == sorted(w.group)
+            assert set(w.credits) == set(w.group)
+            assert all(v >= 1 for v in w.credits.values())
+            assert w.ob_slots == w.credits  # Eq. 1 met with equality
+            assert w.group_load is not None
+            assert all(a in w.group and b in w.group
+                       for a, b in w.order_constraints)
+            assert {low.circuit.units[n].meta["wrapper"]
+                    for n in w.all_unit_names()} == {w.base}
         assert res.opt_time_s > 0
 
     def test_credits_follow_equation3(self):

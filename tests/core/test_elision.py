@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.analysis import analyze_circuit, wrapper_views
 from repro.circuit import DataflowCircuit, FunctionalUnit, Sequence, Sink
-from repro.core import insert_sharing_wrapper
+from repro.core import SharingResult, insert_sharing_wrapper
 from repro.core.elision import ElisionResult, elide_output_buffers
 from repro.errors import SharingError
+from repro.lint import run_lint
 from repro.resources import estimate_circuit
 from repro.sim import Engine
 from repro.verify import explore, make_environment_nondeterministic
@@ -38,7 +40,7 @@ class TestStructuralElision:
         result = elide_output_buffers(c, [w], mode="structural")
         after = estimate_circuit(c)
         assert result.count == 3
-        assert w.output_buffers == []
+        assert w.output_buffers == ["", "", ""]  # slots stay aligned
         assert after.lut < before.lut  # the paper's motivation: LUT savings
         Engine(c).run(lambda: all(s.count == tokens for s in sinks),
                       max_cycles=2000)
@@ -93,3 +95,45 @@ class TestVerifiedElision:
         # checker proves the OBs removable even under stalling.
         assert result.count + len(result.kept) == 2
         assert explore(c, max_states=120_000)
+
+
+def fig1_verified_elision():
+    """Figure 1's verify-mode case: only M3's output buffer goes."""
+    c, _, _ = fig1_circuit(3, slack_slots=0)
+    w = insert_sharing_wrapper(c, ["M2", "M3"], credits={"M2": 1, "M3": 1})
+    make_environment_nondeterministic(c)
+    kept = w.output_buffers[0]
+    elide_output_buffers(c, [w], mode="verify", max_states=60_000)
+    return c, w, [kept, ""], set()
+
+
+def sink_structural_elision():
+    """Every output buffer goes; 2 credits against occupancy 0 (no CFCs)
+    are Eq. 3's surplus, so only FL004 may report."""
+    c, w, _, _ = sink_consumers_circuit()
+    elide_output_buffers(c, [w], mode="structural")
+    return c, w, ["", "", ""], {"FL004"}
+
+
+class TestElidedWrapperRecord:
+    """An elided slot keeps its place in the wrapper's record and ends at
+    its lazy fork, so lint and token-flow accept the elided wrapper, from
+    its record or from its tags alone."""
+
+    @pytest.mark.parametrize(
+        "elide", [fig1_verified_elision, sink_structural_elision],
+        ids=["fig1-verify", "sinks-structural"],
+    )
+    def test_lint_and_tokenflow_read_the_elided_record(self, elide):
+        c, w, slots, lint_codes = elide()
+        assert w.output_buffers == slots
+        decisions = SharingResult(groups=[w.group], wrappers=[w])
+        flow = analyze_circuit(c, cfcs=[], decisions=decisions)
+        assert flow.views == [w]
+        assert flow.issues == []
+        report = run_lint(c, decisions=decisions, cfcs=[])
+        assert {d.code for d in report.diagnostics} == lint_codes
+        [bare] = wrapper_views(c)
+        assert bare.output_buffers == slots
+        assert (bare.joins, bare.lazy_forks) == (w.joins, w.lazy_forks)
+        assert analyze_circuit(c, cfcs=[]).issues == []

@@ -22,10 +22,11 @@ from repro.core import (
     check_r2,
     check_r3,
     credits_for_op,
-    output_buffer_slots,
+    insert_sharing_wrapper,
     sharing_candidates,
     sharing_groups,
 )
+from repro.core.standalone import build_standalone_group
 
 
 def chain_cfc_circuit():
@@ -222,7 +223,11 @@ class TestCreditsAndCost:
     def test_allocate_and_ob_slots(self):
         creds = allocate_credits(["a", "b"], {"a": Fraction(10, 11)})
         assert creds == {"a": 2, "b": 1}
-        assert output_buffer_slots(creds) == creds
+        # The wrapper builder's default output buffers: N_OB = N_CC.
+        c, names = build_standalone_group(2, "fmul")
+        w = insert_sharing_wrapper(c, names, credits=dict(zip(names, [2, 1])))
+        assert w.ob_slots == w.credits
+        assert [c.units[ob].slots for ob in w.output_buffers] == [2, 1]
 
     def test_cost_model_equation2(self):
         cm = SharingCostModel(

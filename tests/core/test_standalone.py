@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import default_cost_model, insert_sharing_wrapper
 from repro.core.standalone import (
     build_shared_standalone,
     build_standalone_group,
@@ -10,6 +11,7 @@ from repro.core.standalone import (
     unshared_group_resources,
     wrapper_component_breakdown,
 )
+from repro.resources import equivalent_cost, estimate_units
 from repro.sim import Engine
 
 
@@ -91,3 +93,19 @@ class TestResources:
         total = shared_group_resources(6)
         assert sum(v.lut for v in bd.values()) == total.lut
         assert sum(v.ff for v in bd.values()) == total.ff
+
+
+class TestEquation2WrapperCost:
+    @pytest.mark.parametrize("op", ["fadd", "fmul"])
+    def test_cost_model_prices_the_wrapper_the_builder_builds(self, op):
+        # C_WP(|G|) of Algorithm 1's cost model is the equivalent cost of
+        # the non-shared units insert_sharing_wrapper builds around |G|
+        # standalone ops with two credits each.
+        cost_model = default_cost_model()
+        for n in range(2, 9):
+            c, names = build_standalone_group(n, op)
+            w = insert_sharing_wrapper(c, names, credits=dict.fromkeys(names, 2))
+            built = equivalent_cost(estimate_units(
+                c.units[nm] for nm in w.all_unit_names() if nm != w.shared_unit
+            ))
+            assert cost_model.wrapper_cost(op, n) == built, n

@@ -6,8 +6,6 @@ matching rule fires under its stable code.  Eq. 1 on the built wrapper
 units is FL002's; CR001 audits the decision record against them.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.circuit import (
@@ -18,6 +16,7 @@ from repro.circuit import (
     Sink,
     TransparentFifo,
 )
+from repro.core.crush import SharingResult
 from repro.core.wrapper import insert_sharing_wrapper
 from repro.lint import run_lint
 from repro.pipeline import lint_prepared, prepare_circuit
@@ -100,8 +99,7 @@ def test_credited_wrapper_is_cr001_clean_even_without_decisions():
 
 def test_cr002_fires_on_reversed_access_priority(prep):
     w = _wrapper(prep)
-    key = "+".join(w.group)
-    assert prep.decisions.order_constraints.get(key)  # gsum has real deps
+    assert w.order_constraints  # gsum has real deps
     arb = prep.circuit.units[w.arbiter]
     arb.priority = list(reversed(arb.priority))  # mutation: invert Alg. 2
     rep = lint_prepared(prep)
@@ -113,10 +111,9 @@ def test_cr002_fires_on_reversed_access_priority(prep):
 
 def test_cr003_fires_when_recorded_load_exceeds_capacity(prep):
     w = _wrapper(prep)
-    key = "+".join(w.group)
-    assert key in prep.decisions.group_load
+    assert w.group_load is not None
     # Mutation: pretend the decision pass accepted an impossible load.
-    prep.decisions.group_load[key] = 10_000
+    w.group_load = 10_000
     rep = lint_prepared(prep)
     assert "CR003" in [d.code for d in rep.errors]
     assert any("rule R2" in d.message for d in rep.by_code("CR003"))
@@ -131,10 +128,7 @@ def test_cr003_fires_pre_rewrite_on_a_mixed_op_group():
     c.connect(src, 0, a, 0)
     c.connect(a, 0, m, 0)
     c.connect(m, 0, sink, 0)
-    decisions = SimpleNamespace(
-        groups=[["a", "m"]], wrappers=[], occupancies={},
-        group_load={}, order_constraints={}, priorities={},
-    )
+    decisions = SharingResult(groups=[["a", "m"]])
     rep = run_lint(c, decisions=decisions, cfcs=[])
     assert "CR003" in [d.code for d in rep.errors]
     assert any("rule R1" in d.message for d in rep.by_code("CR003"))

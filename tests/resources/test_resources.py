@@ -23,8 +23,8 @@ from repro.resources import (
     slice_estimate,
     unit_equivalent_cost,
     unit_resources,
-    wrapper_equivalent_cost,
 )
+from repro.core.standalone import wrapper_cost
 
 
 class TestLibrary:
@@ -66,17 +66,17 @@ class TestLibrary:
         assert heavy > light
 
     def test_wrapper_cost_monotone_in_group_size(self):
-        costs = [wrapper_equivalent_cost("fadd", n) for n in range(2, 10)]
+        costs = [wrapper_cost("fadd", n) for n in range(2, 10)]
         assert all(b > a for a, b in zip(costs, costs[1:]))
-        assert wrapper_equivalent_cost("fadd", 1) == 0.0
+        assert wrapper_cost("fadd", 1) == 0.0
 
     def test_sharing_fadd_pays_sharing_iadd_does_not(self):
         # Paper Section 4.3: sharing integer adders is never beneficial.
         for n in range(2, 8):
             save_fadd = unit_equivalent_cost("fadd") * (n - 1)
-            assert wrapper_equivalent_cost("fadd", n) < save_fadd
+            assert wrapper_cost("fadd", n) < save_fadd
         save_iadd = unit_equivalent_cost("iadd")
-        assert wrapper_equivalent_cost("iadd", 2) > save_iadd
+        assert wrapper_cost("iadd", 2) > save_iadd
 
 
 class TestEstimate:
